@@ -63,19 +63,6 @@ constexpr uint64_t kLocalDataBytesTotal = 64ull << 10;
 
 constexpr int kSortProgramKey = 99;
 
-Status ValidateStrictlyIncreasing(std::span<const uint32_t> values,
-                                  const char* which) {
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i] <= values[i - 1]) {
-      return Status::InvalidArgument(
-          std::string("input set ") + which +
-          " must be sorted and duplicate-free (violation at index " +
-          std::to_string(i) + ")");
-    }
-  }
-  return Status::Ok();
-}
-
 /// Bytes a set occupies in a local memory, including beat padding.
 uint64_t PaddedBytes(uint64_t elements) {
   return AlignUp(elements * 4, mem::kBeatBytes);
@@ -284,6 +271,43 @@ RunMetrics Processor::MakeMetrics(uint64_t elements,
   return metrics;
 }
 
+Status ValidateOperands(SetOp op, std::span<const uint32_t> a,
+                        std::span<const uint32_t> b) {
+  const bool strict = op != SetOp::kMerge;
+  const std::span<const uint32_t> operands[] = {a, b};
+  for (size_t side = 0; side < 2; ++side) {
+    const std::span<const uint32_t> values = operands[side];
+    for (size_t i = 1; i < values.size(); ++i) {
+      if (values[i] < values[i - 1] || (strict && values[i] == values[i - 1])) {
+        return Status::InvalidArgument(
+            std::string(strict ? "input set " : "merge input ") +
+            (side == 0 ? "A" : "B") + " must be sorted" +
+            (strict ? " and duplicate-free" : "") + " (violation at index " +
+            std::to_string(i) + ")");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+Result<std::vector<uint32_t>> EmptyOperandResult(SetOp op,
+                                                 std::span<const uint32_t> a,
+                                                 std::span<const uint32_t> b) {
+  switch (op) {
+    case SetOp::kIntersect:
+      return std::vector<uint32_t>{};
+    case SetOp::kUnion:
+    case SetOp::kMerge: {
+      const std::span<const uint32_t> keep = a.empty() ? b : a;
+      return std::vector<uint32_t>(keep.begin(), keep.end());
+    }
+    case SetOp::kDifference:
+      return std::vector<uint32_t>(a.begin(), a.end());
+  }
+  return Status::InvalidArgument(
+      "set operations are intersect/union/difference/merge");
+}
+
 Result<SetOpRun> Processor::RunSetOperation(SetOp op,
                                             std::span<const uint32_t> a,
                                             std::span<const uint32_t> b,
@@ -293,8 +317,7 @@ Result<SetOpRun> Processor::RunSetOperation(SetOp op,
         "kMerge is the merge-sort building block; use RunSort");
   }
   if (settings.validate_inputs) {
-    DBA_RETURN_IF_ERROR(ValidateStrictlyIncreasing(a, "A"));
-    DBA_RETURN_IF_ERROR(ValidateStrictlyIncreasing(b, "B"));
+    DBA_RETURN_IF_ERROR(ValidateOperands(op, a, b));
   }
   if (a.size() > max_set_elements(static_cast<uint32_t>(b.size())) ||
       b.size() > max_set_elements(static_cast<uint32_t>(a.size()))) {
@@ -313,18 +336,7 @@ Result<SetOpRun> Processor::RunSetOperation(SetOp op,
 Result<SetOpRun> Processor::RunMerge(std::span<const uint32_t> a,
                                      std::span<const uint32_t> b,
                                      const RunSettings& settings) {
-  auto validate_sorted = [](std::span<const uint32_t> values,
-                            const char* which) -> Status {
-    for (size_t i = 1; i < values.size(); ++i) {
-      if (values[i] < values[i - 1]) {
-        return Status::InvalidArgument(std::string("merge input ") + which +
-                                       " must be sorted");
-      }
-    }
-    return Status::Ok();
-  };
-  DBA_RETURN_IF_ERROR(validate_sorted(a, "A"));
-  DBA_RETURN_IF_ERROR(validate_sorted(b, "B"));
+  DBA_RETURN_IF_ERROR(ValidateOperands(SetOp::kMerge, a, b));
   if (a.size() > max_set_elements(static_cast<uint32_t>(b.size())) ||
       b.size() > max_set_elements(static_cast<uint32_t>(a.size()))) {
     return Status::ResourceExhausted(

@@ -85,6 +85,20 @@ struct SortRun {
   RunMetrics metrics;
 };
 
+/// Checks the operand order `op` requires: strictly increasing (sorted,
+/// duplicate-free) for intersect/union/difference, non-decreasing for
+/// merge. InvalidArgument names the operand and the first violation.
+Status ValidateOperands(SetOp op, std::span<const uint32_t> a,
+                        std::span<const uint32_t> b);
+
+/// The empty-operand rule of the four set operations: with `a` or `b`
+/// empty the result needs no kernel -- intersect drops everything, union
+/// and merge keep the non-empty operand, difference keeps `a`. Callers
+/// charge their own cost for it. InvalidArgument for any other op.
+Result<std::vector<uint32_t>> EmptyOperandResult(SetOp op,
+                                                 std::span<const uint32_t> a,
+                                                 std::span<const uint32_t> b);
+
 /// A fully assembled processor: the cycle-accurate core, its memories,
 /// the instruction-set extension (for EIS configurations), the kernel
 /// programs, and the synthesis-model figures that convert cycle counts

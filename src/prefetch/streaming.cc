@@ -102,4 +102,59 @@ Result<StreamingRun> StreamingSetOperation::Run(SetOp op,
   return run;
 }
 
+Result<CoreSetOpRun> RunCoreSetOperation(Processor& core, SetOp op,
+                                         std::span<const uint32_t> a,
+                                         std::span<const uint32_t> b,
+                                         const RunSettings& settings) {
+  CoreSetOpRun run;
+  const bool fits =
+      a.size() <= core.max_set_elements(static_cast<uint32_t>(b.size())) &&
+      b.size() <= core.max_set_elements(static_cast<uint32_t>(a.size()));
+  if (fits) {
+    // kMerge has its own processor entry point (RunSetOperation rejects
+    // it: duplicates make it a sort building block, not a set op).
+    DBA_ASSIGN_OR_RETURN(SetOpRun core_run,
+                         op == SetOp::kMerge
+                             ? core.RunMerge(a, b, settings)
+                             : core.RunSetOperation(op, a, b, settings));
+    run.cycles = core_run.metrics.cycles;
+    run.result = std::move(core_run.result);
+    return run;
+  }
+  StreamingSetOperation streaming(&core, DmaConfig{}, 0, settings);
+  DBA_ASSIGN_OR_RETURN(StreamingRun streamed, streaming.Run(op, a, b));
+  run.cycles = streamed.total_cycles;
+  run.result = std::move(streamed.result);
+  run.streamed = true;
+  return run;
+}
+
+Result<ExternalSortRun> ExternalSort(Processor& core,
+                                     std::span<const uint32_t> values,
+                                     const RunSettings& settings) {
+  ExternalSortRun run;
+  const size_t capacity = core.max_sort_elements();
+  StreamingSetOperation streaming(&core, DmaConfig{}, 0, settings);
+  size_t pos = 0;
+  do {
+    const size_t len = std::min(capacity, values.size() - pos);
+    DBA_ASSIGN_OR_RETURN(SortRun chunk,
+                         core.RunSort(values.subspan(pos, len), settings));
+    run.sort_cycles += chunk.metrics.cycles;
+    ++run.chunks;
+    pos += len;
+    if (run.chunks == 1) {
+      run.sorted = std::move(chunk.sorted);
+      continue;
+    }
+    DBA_ASSIGN_OR_RETURN(
+        StreamingRun merged,
+        streaming.Run(SetOp::kMerge, run.sorted, chunk.sorted));
+    run.merge_cycles += merged.total_cycles;
+    run.merge_elements += run.sorted.size() + chunk.sorted.size();
+    run.sorted = std::move(merged.result);
+  } while (pos < values.size());
+  return run;
+}
+
 }  // namespace dba::prefetch

@@ -52,6 +52,36 @@ class StreamingSetOperation {
   RunSettings base_settings_;
 };
 
+/// One set operation (intersect, union, difference or merge) on one
+/// core: run in the local store when both operands fit, streamed through
+/// the prefetcher otherwise. Operands must be non-empty (see
+/// EmptyOperandResult). Returns the raw cycles; callers do their own
+/// accounting.
+struct CoreSetOpRun {
+  std::vector<uint32_t> result;
+  uint64_t cycles = 0;  // kernel cycles, or streamed total with DMA overlap
+  bool streamed = false;
+};
+Result<CoreSetOpRun> RunCoreSetOperation(Processor& core, SetOp op,
+                                         std::span<const uint32_t> a,
+                                         std::span<const uint32_t> b,
+                                         const RunSettings& settings);
+
+/// Sorts any number of values on one core: local-store-sized chunks on
+/// the merge-sort kernel, each sorted chunk merged into the output so far
+/// with the streamed merge kernel (chunks - 1 merges). An input that fits
+/// is one chunk and no merge.
+struct ExternalSortRun {
+  std::vector<uint32_t> sorted;
+  uint64_t sort_cycles = 0;     // across all chunk sorts
+  uint64_t merge_cycles = 0;    // across all streamed merges
+  uint32_t chunks = 0;
+  uint64_t merge_elements = 0;  // input elements across all merges
+};
+Result<ExternalSortRun> ExternalSort(Processor& core,
+                                     std::span<const uint32_t> values,
+                                     const RunSettings& settings);
+
 }  // namespace dba::prefetch
 
 #endif  // DBA_PREFETCH_STREAMING_H_

@@ -24,8 +24,6 @@ struct QueryInstrumentSet {
   obs::Counter* setops;
   obs::Counter* sorts;
   obs::Counter* retries;
-  obs::Counter* concurrent_sort_pairs;
-  obs::Gauge* sort_concurrency;
   obs::Histogram* latency;
 };
 
@@ -40,12 +38,6 @@ const QueryInstrumentSet& QueryInstruments() {
     out.retries = registry.GetCounter(
         "dba_query_retries_total",
         "Transient-failure retries across set ops and sorts.");
-    out.concurrent_sort_pairs = registry.GetCounter(
-        "dba_query_concurrent_sort_pairs_total",
-        "JoinKeys column-sort pairs run on concurrent host threads.");
-    out.sort_concurrency = registry.GetGauge(
-        "dba_query_sort_concurrency",
-        "Host threads used by the last JoinKeys column sort (1 or 2).");
     out.latency = registry.GetHistogram(
         "dba_query_latency_cycles",
         "Simulated accelerator cycles per public query.");
@@ -167,10 +159,63 @@ Status QueryEngine::RefreshIndexIfStale(const std::string& column) {
   return Status::Ok();
 }
 
-Status QueryEngine::ConsultFaultHook(std::string_view key,
-                                     int attempt) const {
-  if (!attempt_fault_hook_) return Status::Ok();
-  return attempt_fault_hook_(key, attempt);
+template <typename Fn>
+auto QueryEngine::RunAttempts(const AttemptSite& site, QueryStats* stats,
+                              Fn&& attempt)
+    -> decltype(attempt(RunSettings{})) {
+  Status last_error = Status::Internal("no attempt executed");
+  for (int i = 0; i < max_attempts_; ++i) {
+    last_error = Status::Ok();
+    if (attempt_fault_hook_ && !site.hook_prefix.empty()) {
+      last_error = attempt_fault_hook_(
+          std::string(site.hook_prefix) + std::string(site.hook_name), i);
+    }
+    if (last_error.ok()) {
+      auto run = attempt(AttemptSettings(run_settings_, i));
+      if (run.ok()) {
+        QueryInstruments().retries->Increment(static_cast<uint64_t>(i));
+        if (stats != nullptr) stats->retries += static_cast<uint32_t>(i);
+        return run;
+      }
+      last_error = run.status();
+    }
+    if (!IsTransient(last_error.code())) return last_error;
+    if (!site.retry_note.empty()) {
+      AddPlanStep(stats,
+                  std::string(site.retry_note) + " after " +
+                      std::string(StatusCodeToString(last_error.code())));
+    }
+  }
+  return last_error;
+}
+
+Result<prefetch::CoreSetOpRun> QueryEngine::ExecuteEis(SetOp op,
+                                                       std::span<const Rid> a,
+                                                       std::span<const Rid> b,
+                                                       QueryStats* stats) {
+  return RunAttempts(
+      {.hook_prefix = "eis:", .hook_name = eis::SopModeName(op)}, stats,
+      [&](const RunSettings& settings) {
+        return prefetch::RunCoreSetOperation(*processor_, op, a, b, settings);
+      });
+}
+
+Result<prefetch::ExternalSortRun> QueryEngine::Sort(
+    std::span<const uint32_t> values, std::string_view retry_note,
+    QueryStats* stats) {
+  DBA_ASSIGN_OR_RETURN(
+      prefetch::ExternalSortRun run,
+      RunAttempts({.retry_note = retry_note}, stats,
+                  [&](const RunSettings& settings) {
+                    return prefetch::ExternalSort(*processor_, values,
+                                                  settings);
+                  }));
+  QueryInstruments().sorts->Increment(run.chunks);
+  if (stats != nullptr) {
+    stats->sorts += run.chunks;
+    stats->accelerator_cycles += run.sort_cycles + run.merge_cycles;
+  }
+  return run;
 }
 
 Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
@@ -212,74 +257,13 @@ Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
   return out;
 }
 
-Result<QueryEngine::EisExecution> QueryEngine::ExecuteEis(
-    SetOp op, std::span<const Rid> a, std::span<const Rid> b) {
-  EisExecution out;
-  const bool fits =
-      a.size() <= processor_->max_set_elements(
-                      static_cast<uint32_t>(b.size())) &&
-      b.size() <= processor_->max_set_elements(static_cast<uint32_t>(a.size()));
-  out.streamed = !fits;
-  Status last_error = Status::Internal("no attempt executed");
-  bool done = false;
-  for (int attempt = 0; attempt < max_attempts_ && !done; ++attempt) {
-    out.attempts_used = attempt + 1;
-    const Status injected = ConsultFaultHook(
-        std::string("eis:") + std::string(eis::SopModeName(op)), attempt);
-    if (!injected.ok()) {
-      last_error = injected;
-      if (!IsTransient(last_error.code())) return last_error;
-      continue;
-    }
-    const RunSettings settings = AttemptSettings(run_settings_, attempt);
-    if (fits) {
-      Result<SetOpRun> run = processor_->RunSetOperation(op, a, b, settings);
-      if (run.ok()) {
-        out.cycles = run->metrics.cycles;
-        out.result = std::move(run->result);
-        done = true;
-      } else {
-        last_error = run.status();
-      }
-    } else {
-      prefetch::StreamingSetOperation streaming(processor_,
-                                                prefetch::DmaConfig{}, 0,
-                                                settings);
-      Result<prefetch::StreamingRun> run = streaming.Run(op, a, b);
-      if (run.ok()) {
-        out.cycles = run->total_cycles;
-        out.result = std::move(run->result);
-        done = true;
-      } else {
-        last_error = run.status();
-      }
-    }
-    if (!done && !IsTransient(last_error.code())) return last_error;
-  }
-  if (!done) return last_error;
-  return out;
-}
-
 Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
                                                const OperandView& b,
                                                QueryStats* stats) {
   // Degenerate inputs need no accelerator round trip.
   if (a.rids.empty() || b.rids.empty()) {
-    std::vector<Rid> result;
-    switch (op) {
-      case SetOp::kIntersect:
-        break;
-      case SetOp::kUnion: {
-        const std::span<const Rid> keep = a.rids.empty() ? b.rids : a.rids;
-        result.assign(keep.begin(), keep.end());
-        break;
-      }
-      case SetOp::kDifference:
-        result.assign(a.rids.begin(), a.rids.end());
-        break;
-      default:
-        return Status::InvalidArgument("unsupported set operation");
-    }
+    DBA_ASSIGN_OR_RETURN(std::vector<Rid> result,
+                         EmptyOperandResult(op, a.rids, b.rids));
     AddPlanStep(stats, std::string(eis::SopModeName(op)) +
                            " (degenerate) -> " +
                            std::to_string(result.size()) + " RIDs");
@@ -292,12 +276,10 @@ Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
     return RunPlannedIntersect(a, b, stats);
   }
 
-  DBA_ASSIGN_OR_RETURN(EisExecution run, ExecuteEis(op, a.rids, b.rids));
+  DBA_ASSIGN_OR_RETURN(prefetch::CoreSetOpRun run,
+                       ExecuteEis(op, a.rids, b.rids, stats));
   QueryInstruments().setops->Increment();
-  QueryInstruments().retries->Increment(
-      static_cast<uint64_t>(run.attempts_used - 1));
   if (stats != nullptr) {
-    stats->retries += static_cast<uint32_t>(run.attempts_used - 1);
     ++stats->set_operations;
     stats->accelerator_cycles += run.cycles;
     stats->elements_processed += a.rids.size() + b.rids.size();
@@ -370,55 +352,41 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
     state.missed_savings_ns = meter.missed_savings_ns();
   }
 
-  // Execute the chosen route. Every route runs under the engine's
-  // transient-failure retry budget (SetMaxAttempts): the EIS route
-  // retries inside ExecuteEis, and host routes retry here under the
-  // same policy -- retry accounting must not depend on where the
-  // planner happened to send the work.
+  // Execute the chosen route. Every route runs under the engine's one
+  // attempt loop (SetMaxAttempts): retry accounting must not depend on
+  // where the planner happened to send the work.
   const uint64_t cycles_base =
       stats != nullptr ? stats->accelerator_cycles : 0;
   std::vector<Rid> result;
   uint64_t cycles = 0;
   double route_seconds = 0;
   bool streamed = false;
-  int attempts_used = 1;
   if (decision.route == Route::kEisMerge) {
-    DBA_ASSIGN_OR_RETURN(EisExecution run,
-                         ExecuteEis(SetOp::kIntersect, a.rids, b.rids));
+    DBA_ASSIGN_OR_RETURN(prefetch::CoreSetOpRun run,
+                         ExecuteEis(SetOp::kIntersect, a.rids, b.rids, stats));
     result = std::move(run.result);
     cycles = run.cycles;
     streamed = run.streamed;
-    attempts_used = run.attempts_used;
     route_seconds = static_cast<double>(cycles) / processor_->frequency_hz();
     plan_metrics.eis_cycles->Observe(cycles);
   } else {
     // The partition route probes the (cached or transient) index over
     // the larger operand with the smaller; the merge-family host routes
     // are symmetric and take the operands as-is.
-    const std::string hook_key =
-        "route:" + std::string(RouteName(decision.route));
-    Status last_error = Status::Internal("no attempt executed");
-    bool done = false;
-    for (int attempt = 0; attempt < max_attempts_ && !done; ++attempt) {
-      attempts_used = attempt + 1;
-      const Status injected = ConsultFaultHook(hook_key, attempt);
-      Result<RouteRun> run =
-          !injected.ok() ? Result<RouteRun>(injected)
-          : decision.route == Route::kPartitionProbe
-              ? RunIntersectRoute(decision.route, small.rids, large.rids,
-                                  processor_, run_settings_, index)
-              : RunIntersectRoute(decision.route, a.rids, b.rids, processor_,
-                                  run_settings_);
-      if (run.ok()) {
-        result = std::move(run->result);
-        route_seconds = run->route_seconds + run->build_seconds;
-        done = true;
-      } else {
-        last_error = run.status();
-        if (!IsTransient(last_error.code())) return last_error;
-      }
-    }
-    if (!done) return last_error;
+    DBA_ASSIGN_OR_RETURN(
+        RouteRun run,
+        RunAttempts(
+            {.hook_prefix = "route:", .hook_name = RouteName(decision.route)},
+            stats, [&](const RunSettings& settings) {
+              return decision.route == Route::kPartitionProbe
+                         ? RunIntersectRoute(decision.route, small.rids,
+                                             large.rids, processor_, settings,
+                                             index)
+                         : RunIntersectRoute(decision.route, a.rids, b.rids,
+                                             processor_, settings);
+            }));
+    result = std::move(run.result);
+    route_seconds = run.route_seconds + run.build_seconds;
   }
 
   const size_t route_idx = static_cast<size_t>(decision.route);
@@ -426,10 +394,7 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
   plan_metrics.route_wall_ns[route_idx]->Observe(
       static_cast<uint64_t>(route_seconds * 1e9));
   QueryInstruments().setops->Increment();
-  QueryInstruments().retries->Increment(
-      static_cast<uint64_t>(attempts_used - 1));
   if (stats != nullptr) {
-    stats->retries += static_cast<uint32_t>(attempts_used - 1);
     ++stats->set_operations;
     ++stats->planned_ops;
     ++stats->route_counts[route_idx];
@@ -580,170 +545,36 @@ Result<std::vector<Rid>> QueryEngine::Select(const Predicate& predicate,
   return std::move(matched.rids);
 }
 
-std::future<Result<std::vector<Rid>>> QueryEngine::Submit(
-    std::shared_ptr<const Predicate> predicate) {
-  auto promise =
-      std::make_shared<std::promise<Result<std::vector<Rid>>>>();
-  std::future<Result<std::vector<Rid>>> future = promise->get_future();
-  auto task = [this, predicate = std::move(predicate), promise] {
-    if (predicate == nullptr) {
-      promise->set_value(
-          Status::InvalidArgument("Submit requires a predicate"));
-      return;
-    }
-    std::lock_guard<std::mutex> lock(submit_mutex_);
-    promise->set_value(Select(*predicate));
-  };
-  if (pool_ != nullptr) {
-    pool_->Run(std::move(task));
-  } else {
-    task();
-  }
-  return future;
-}
-
-namespace {
-
-/// Sorts one key column on `processor` (chunked beyond the local store;
-/// streamed merge) and verifies uniqueness. Telemetry lands in the
-/// caller-provided `stats` (may be null) so two columns can sort on
-/// concurrent host threads into separate stats, merged after the join
-/// in left-right order -- keeping plans and counters identical to the
-/// serial engine.
-Result<std::vector<uint32_t>> SortUniqueKeysOnce(
-    Processor* processor, const Table& table, const std::string& key_column,
-    const RunSettings& settings, QueryStats* stats) {
-  DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> values,
-                       table.Column(key_column));
-  std::vector<uint32_t> sorted;
-  const uint32_t capacity = processor->max_sort_elements();
-  prefetch::StreamingSetOperation streaming(processor, prefetch::DmaConfig{},
-                                            0, settings);
-  for (size_t pos = 0; pos < values.size(); pos += capacity) {
-    const size_t len = std::min<size_t>(capacity, values.size() - pos);
-    DBA_ASSIGN_OR_RETURN(SortRun run,
-                         processor->RunSort(values.subspan(pos, len),
-                                            settings));
-    QueryInstruments().sorts->Increment();
-    if (stats != nullptr) {
-      ++stats->sorts;
-      stats->accelerator_cycles += run.metrics.cycles;
-      stats->elements_processed += len;
-    }
-    if (sorted.empty()) {
-      sorted = std::move(run.sorted);
-    } else {
-      DBA_ASSIGN_OR_RETURN(
-          prefetch::StreamingRun merge_run,
-          streaming.Run(SetOp::kMerge, sorted, run.sorted));
-      if (stats != nullptr) {
-        stats->accelerator_cycles += merge_run.total_cycles;
-      }
-      sorted = std::move(merge_run.result);
-    }
-  }
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] == sorted[i - 1]) {
-      return Status::InvalidArgument(
-          "JoinKeys requires unique keys; column '" + key_column +
-          "' of table '" + table.name() + "' has duplicates");
-    }
-  }
-  AddPlanStep(stats, "sort join keys of " + table.name() + "." +
-                         key_column + " (" +
-                         std::to_string(sorted.size()) + " keys)");
-  return sorted;
-}
-
-/// SortUniqueKeysOnce with transient-failure retry: each attempt runs
-/// with a doubled watchdog budget into fresh per-attempt stats, so a
-/// failed attempt leaves the caller's telemetry untouched (only the
-/// retry counter and a plan note record that it happened).
-Result<std::vector<uint32_t>> SortUniqueKeys(Processor* processor,
-                                             const Table& table,
-                                             const std::string& key_column,
-                                             const RunSettings& base_settings,
-                                             int max_attempts,
-                                             QueryStats* stats) {
-  Status last_error = Status::Internal("no attempt executed");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    QueryStats attempt_stats;
-    Result<std::vector<uint32_t>> sorted = SortUniqueKeysOnce(
-        processor, table, key_column, AttemptSettings(base_settings, attempt),
-        stats != nullptr ? &attempt_stats : nullptr);
-    if (sorted.ok()) {
-      QueryInstruments().retries->Increment(static_cast<uint64_t>(attempt));
-      if (stats != nullptr) {
-        stats->retries += static_cast<uint32_t>(attempt);
-        stats->sorts += attempt_stats.sorts;
-        stats->accelerator_cycles += attempt_stats.accelerator_cycles;
-        stats->elements_processed += attempt_stats.elements_processed;
-        for (std::string& step : attempt_stats.plan) {
-          stats->plan.push_back(std::move(step));
-        }
-      }
-      return sorted;
-    }
-    last_error = sorted.status();
-    if (!IsTransient(last_error.code())) return last_error;
-    AddPlanStep(stats, "retry sort of " + table.name() + "." + key_column +
-                           " after " +
-                           std::string(StatusCodeToString(
-                               last_error.code())));
-  }
-  return last_error;
-}
-
-void MergeJoinStats(QueryStats* stats, const QueryStats& side) {
-  if (stats == nullptr) return;
-  stats->sorts += side.sorts;
-  stats->retries += side.retries;
-  stats->accelerator_cycles += side.accelerator_cycles;
-  stats->elements_processed += side.elements_processed;
-  for (const std::string& step : side.plan) stats->plan.push_back(step);
-}
-
-}  // namespace
-
 Result<std::vector<uint32_t>> QueryEngine::JoinKeys(
     const std::string& column, const Table& other,
     const std::string& other_column, QueryStats* stats) {
   QueryStats local_stats;
   QueryStats* s = stats != nullptr ? stats : &local_stats;
   const uint64_t cycles_before = s->accelerator_cycles;
-  Result<std::vector<uint32_t>> left = Status::Internal("unset");
-  Result<std::vector<uint32_t>> right = Status::Internal("unset");
-  QueryStats left_stats;
-  QueryStats right_stats;
-  const bool concurrent = pool_ != nullptr && sibling_ != nullptr;
-  QueryInstruments().sort_concurrency->Set(concurrent ? 2.0 : 1.0);
-  if (concurrent) {
-    QueryInstruments().concurrent_sort_pairs->Increment();
-    // The two column sorts are independent: run them on concurrent host
-    // threads, the second on the sibling processor. Each side writes
-    // only its own result slot and stats.
-    pool_->ParallelFor(2, [&](size_t side) {
-      if (side == 0) {
-        left = SortUniqueKeys(processor_, *table_, column, run_settings_,
-                              max_attempts_, &left_stats);
-      } else {
-        right = SortUniqueKeys(sibling_, other, other_column, run_settings_,
-                               max_attempts_, &right_stats);
-      }
-    });
-  } else {
-    left = SortUniqueKeys(processor_, *table_, column, run_settings_,
-                          max_attempts_, &left_stats);
-    right = SortUniqueKeys(sibling_ != nullptr ? sibling_ : processor_,
-                           other, other_column, run_settings_, max_attempts_,
-                           &right_stats);
-  }
-  DBA_RETURN_IF_ERROR(left.status());
-  DBA_RETURN_IF_ERROR(right.status());
-  MergeJoinStats(s, left_stats);
-  MergeJoinStats(s, right_stats);
+  const auto sort_keys =
+      [&](const Table& table,
+          const std::string& key_column) -> Result<std::vector<uint32_t>> {
+    DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> values,
+                         table.Column(key_column));
+    const std::string name = table.name() + "." + key_column;
+    DBA_ASSIGN_OR_RETURN(prefetch::ExternalSortRun run,
+                         Sort(values, "retry sort of " + name, s));
+    s->elements_processed += values.size();
+    if (std::adjacent_find(run.sorted.begin(), run.sorted.end()) !=
+        run.sorted.end()) {
+      return Status::InvalidArgument(
+          "JoinKeys requires unique keys; column '" + key_column +
+          "' of table '" + table.name() + "' has duplicates");
+    }
+    AddPlanStep(s, "sort join keys of " + name + " (" +
+                       std::to_string(run.sorted.size()) + " keys)");
+    return std::move(run.sorted);
+  };
+  DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> left, sort_keys(*table_, column));
+  DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> right,
+                       sort_keys(other, other_column));
   DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> keys,
-                       RunSetOp(SetOp::kIntersect, *left, *right, s));
+                       RunSetOp(SetOp::kIntersect, left, right, s));
   s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
                            processor_->frequency_hz();
   QueryCounter("join_keys")->Increment();
@@ -767,58 +598,26 @@ Result<std::vector<uint32_t>> QueryEngine::SelectValuesOrdered(
   values.reserve(rids.size());
   for (Rid rid : rids) values.push_back(column[rid]);
 
-  // Accelerator sort; chunked with a host merge beyond the local store.
-  const uint32_t capacity = processor_->max_sort_elements();
-  std::vector<uint32_t> sorted;
-  if (values.size() <= capacity) {
-    DBA_ASSIGN_OR_RETURN(SortRun run,
-                         processor_->RunSort(values, run_settings_));
-    QueryInstruments().sorts->Increment();
-    ++s->sorts;
-    s->accelerator_cycles += run.metrics.cycles;
-    s->elements_processed += values.size();
-    AddPlanStep(s, "sort " + std::to_string(values.size()) +
-                       " values on " + order_by);
-    sorted = std::move(run.sorted);
-  } else {
-    // External sort: sort local-store-sized chunks on the accelerator,
-    // then merge the runs pairwise with the streamed EIS merge kernel.
-    uint32_t chunks = 0;
-    prefetch::StreamingSetOperation streaming(processor_,
-                                              prefetch::DmaConfig{}, 0,
-                                              run_settings_);
-    for (size_t pos = 0; pos < values.size(); pos += capacity) {
-      const size_t len = std::min<size_t>(capacity, values.size() - pos);
-      DBA_ASSIGN_OR_RETURN(
-          SortRun run,
-          processor_->RunSort({values.data() + pos, len}, run_settings_));
-      QueryInstruments().sorts->Increment();
-      ++s->sorts;
-      s->accelerator_cycles += run.metrics.cycles;
-      s->elements_processed += len;
-      if (sorted.empty()) {
-        sorted = std::move(run.sorted);
-      } else {
-        DBA_ASSIGN_OR_RETURN(
-            prefetch::StreamingRun merge_run,
-            streaming.Run(SetOp::kMerge, sorted, run.sorted));
-        QueryInstruments().setops->Increment();
-        ++s->set_operations;
-        s->accelerator_cycles += merge_run.total_cycles;
-        s->elements_processed += sorted.size() + run.sorted.size();
-        sorted = std::move(merge_run.result);
-      }
-      ++chunks;
-    }
-    AddPlanStep(s, "external sort of " + std::to_string(values.size()) +
-                       " values (" + std::to_string(chunks) +
-                       " chunks, streamed merges)");
-  }
+  DBA_ASSIGN_OR_RETURN(
+      prefetch::ExternalSortRun run,
+      Sort(values, "retry sort of " + table_->name() + "." + order_by, s));
+  // Beyond the local store the chunk runs are merged pairwise by the
+  // streamed EIS merge kernel: each merge is a set operation.
+  const uint32_t merges = run.chunks - 1;
+  QueryInstruments().setops->Increment(merges);
+  s->set_operations += merges;
+  s->elements_processed += values.size() + run.merge_elements;
+  AddPlanStep(s, run.chunks == 1
+                     ? "sort " + std::to_string(values.size()) +
+                           " values on " + order_by
+                     : "external sort of " + std::to_string(values.size()) +
+                           " values (" + std::to_string(run.chunks) +
+                           " chunks, streamed merges)");
   s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
                            processor_->frequency_hz();
   QueryCounter("select_values_ordered")->Increment();
   QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
-  return sorted;
+  return std::move(run.sorted);
 }
 
 }  // namespace dba::query

@@ -1,19 +1,18 @@
 #ifndef DBA_QUERY_ENGINE_H_
 #define DBA_QUERY_ENGINE_H_
 
-#include <future>
+#include <array>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include <array>
-
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/processor.h"
 #include "fault/fault.h"
+#include "prefetch/streaming.h"
 #include "query/index.h"
 #include "query/partition_index.h"
 #include "query/planner.h"
@@ -81,20 +80,10 @@ class QueryEngine {
   Result<std::vector<Rid>> Select(const Predicate& predicate,
                                   QueryStats* stats = nullptr);
 
-  /// Async Select: evaluates `predicate` on a host thread when a pool
-  /// was provided via EnableConcurrentSorts, inline otherwise, and
-  /// resolves the future with the same result Select would return.
-  /// Concurrent Submit calls are serialized by an internal mutex (one
-  /// engine drives one processor); mixing Submit with direct synchronous
-  /// calls while a submission is in flight is the caller's race to avoid.
-  /// For a queued, batched, multi-tenant frontend see service::QueryService.
-  std::future<Result<std::vector<Rid>>> Submit(
-      std::shared_ptr<const Predicate> predicate);
-
   /// SELECT <order_by> FROM t WHERE <predicate> ORDER BY <order_by>:
   /// gathers the qualifying rows' values of `order_by` and sorts them on
-  /// the accelerator. Inputs beyond the local store sort in chunks with
-  /// a final host merge (counted in the plan, not in cycles).
+  /// the accelerator. Inputs beyond the local store sort in chunks merged
+  /// by the streamed EIS merge kernel (prefetch::ExternalSort).
   Result<std::vector<uint32_t>> SelectValuesOrdered(
       const Predicate& predicate, const std::string& order_by,
       QueryStats* stats = nullptr);
@@ -107,19 +96,6 @@ class QueryEngine {
                                          const Table& other,
                                          const std::string& other_column,
                                          QueryStats* stats = nullptr);
-
-  /// Opt-in host parallelism for independent engine steps: JoinKeys
-  /// sorts its two key columns concurrently, the second one on
-  /// `sibling` (a same-configuration Processor, e.g. a spare core of a
-  /// system::Board, whose host_pool()/core() provide both arguments).
-  /// Results, cycle counts, and plans stay bit-identical to the serial
-  /// engine; only the host wall-clock changes. Pass nulls to go back to
-  /// serial. `pool` and `sibling` must outlive the engine and must not
-  /// be used by the caller while a query runs.
-  void EnableConcurrentSorts(common::ThreadPool* pool, Processor* sibling) {
-    pool_ = pool;
-    sibling_ = sibling;
-  }
 
   /// Enables the adaptive intersection planner (docs/PLANNER.md): every
   /// RID-set intersection is routed to its estimated-fastest kernel --
@@ -148,8 +124,8 @@ class QueryEngine {
   /// historical behavior). Transient failures -- DeadlineExceeded,
   /// Unavailable, DataLoss -- are re-executed with the watchdog budget
   /// doubled each attempt; QueryStats::retries counts re-executions.
-  /// The budget applies route-independently: planner-routed host
-  /// kernels retry under the same policy as the EIS datapath.
+  /// Every step retries under the same policy: set operations on any
+  /// planner route, the ORDER BY sort and the JoinKeys column sorts.
   void SetMaxAttempts(int attempts) {
     max_attempts_ = attempts < 1 ? 1 : attempts;
   }
@@ -195,24 +171,41 @@ class QueryEngine {
   /// old data). No-op when the column has no index yet.
   Status RefreshIndexIfStale(const std::string& column);
 
-  /// The attempt-fault hook decision for (key, attempt); Ok when unset.
-  Status ConsultFaultHook(std::string_view key, int attempt) const;
+  /// Names one step for the attempt loop: the fault hook is consulted
+  /// under `hook_prefix` + `hook_name` (not at all when `hook_prefix` is
+  /// empty), and a non-empty `retry_note` is logged to the plan with the
+  /// failure code after every transient failure.
+  struct AttemptSite {
+    std::string_view hook_prefix = {};
+    std::string_view hook_name = {};
+    std::string_view retry_note = {};
+  };
+
+  /// The engine's one attempt loop: runs `attempt(settings)` until it
+  /// succeeds, fails with a non-transient code, or SetMaxAttempts runs
+  /// out, doubling the watchdog budget with every retry. On success the
+  /// retries are charged to `stats` (may be null) and the metrics.
+  template <typename Fn>
+  auto RunAttempts(const AttemptSite& site, QueryStats* stats, Fn&& attempt)
+      -> decltype(attempt(RunSettings{}));
+
+  /// Sorts `values` (prefetch::ExternalSort) under the attempt loop and
+  /// charges the chunk sorts and all cycles; callers charge elements,
+  /// merges and plan text.
+  Result<prefetch::ExternalSortRun> Sort(std::span<const uint32_t> values,
+                                         std::string_view retry_note,
+                                         QueryStats* stats);
 
   Result<std::vector<Rid>> RunSetOp(SetOp op, const OperandView& a,
                                     const OperandView& b, QueryStats* stats);
   Result<std::vector<Rid>> Complement(const std::vector<Rid>& rids,
                                       QueryStats* stats);
 
-  /// The raw EIS execution: capacity-based streaming plus the
-  /// transient-failure retry loop. No stats/plan side effects.
-  struct EisExecution {
-    std::vector<Rid> result;
-    uint64_t cycles = 0;
-    bool streamed = false;
-    int attempts_used = 1;
-  };
-  Result<EisExecution> ExecuteEis(SetOp op, std::span<const Rid> a,
-                                  std::span<const Rid> b);
+  /// The EIS datapath (prefetch::RunCoreSetOperation) under the attempt
+  /// loop; charges only retries.
+  Result<prefetch::CoreSetOpRun> ExecuteEis(SetOp op, std::span<const Rid> a,
+                                            std::span<const Rid> b,
+                                            QueryStats* stats);
 
   /// Planner-routed intersection of two non-empty operands: decides,
   /// runs the lazy-index savings accounting, executes the chosen route,
@@ -223,12 +216,9 @@ class QueryEngine {
 
   const Table* table_;
   Processor* processor_;
-  common::ThreadPool* pool_ = nullptr;   // non-owning; may be null
-  Processor* sibling_ = nullptr;         // non-owning; may be null
   RunSettings run_settings_;
   int max_attempts_ = 1;
   fault::AttemptFaultHook attempt_fault_hook_;
-  std::mutex submit_mutex_;  // serializes Submit-driven queries
   std::map<std::string, SecondaryIndex> indexes_;
   std::map<std::string, uint64_t> index_versions_;  // column version built
 

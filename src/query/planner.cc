@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 
 #include "baseline/galloping_baseline.h"
@@ -48,6 +49,23 @@ double GallopDepth(size_t a, size_t b) {
   const double small = static_cast<double>(std::min(a, b));
   const double large = static_cast<double>(std::max(a, b));
   return std::log2(large / std::max(1.0, small) + 2.0);
+}
+
+/// The route argmin: the first of `candidates` with the strictly lowest
+/// estimate (order breaks ties); the partition-probe route is skipped
+/// unless `partition_allowed`.
+void ChooseCheapest(std::initializer_list<Route> candidates,
+                    bool partition_allowed, PlanDecision* decision) {
+  bool chosen = false;
+  for (const Route route : candidates) {
+    if (route == Route::kPartitionProbe && !partition_allowed) continue;
+    const double ns = decision->estimated_ns[static_cast<size_t>(route)];
+    if (!chosen || ns < decision->chosen_ns) {
+      decision->route = route;
+      decision->chosen_ns = ns;
+      chosen = true;
+    }
+  }
 }
 
 CostModel CalibrateOnce() {
@@ -208,21 +226,23 @@ PlanDecision Planner::Plan(size_t a_size, size_t b_size,
         decision.estimated_ns[static_cast<size_t>(decision.route)];
     return decision;
   }
-  Route best = Route::kEisMerge;
-  double best_ns = decision.estimated_ns[static_cast<size_t>(best)];
-  for (size_t r = 1; r < kNumRoutes; ++r) {
-    const Route route = static_cast<Route>(r);
-    if (route == Route::kPartitionProbe &&
-        (!index_available || !options_.allow_partition_index)) {
-      continue;
-    }
-    if (decision.estimated_ns[r] < best_ns) {
-      best = route;
-      best_ns = decision.estimated_ns[r];
-    }
+  ChooseCheapest({Route::kEisMerge, Route::kGalloping, Route::kSimdMerge,
+                  Route::kPartitionProbe},
+                 index_available && options_.allow_partition_index,
+                 &decision);
+  return decision;
+}
+
+PlanDecision Planner::PlanHost(size_t a_size, size_t b_size) const {
+  PlanDecision decision;
+  for (size_t r = 0; r < kNumRoutes; ++r) {
+    decision.estimated_ns[r] =
+        model_.RouteNs(static_cast<Route>(r), a_size, b_size);
   }
-  decision.route = best;
-  decision.chosen_ns = best_ns;
+  decision.estimated_ns[static_cast<size_t>(Route::kPartitionProbe)] +=
+      model_.PartitionBuildNs(std::max(a_size, b_size));
+  ChooseCheapest({Route::kSimdMerge, Route::kGalloping, Route::kPartitionProbe},
+                 options_.allow_partition_index, &decision);
   return decision;
 }
 
@@ -241,29 +261,15 @@ Result<RouteRun> RunIntersectRoute(Route route, std::span<const uint32_t> a,
         return Status::FailedPrecondition(
             "the eis_merge route needs a processor");
       }
-      const bool fits =
-          a.size() <= processor->max_set_elements(
-                          static_cast<uint32_t>(b.size())) &&
-          b.size() <= processor->max_set_elements(
-                          static_cast<uint32_t>(a.size()));
-      if (fits) {
-        DBA_ASSIGN_OR_RETURN(
-            SetOpRun op_run,
-            processor->RunSetOperation(SetOp::kIntersect, a, b, settings));
-        run.result = std::move(op_run.result);
-        run.accelerator_cycles = op_run.metrics.cycles;
-        run.route_seconds = op_run.metrics.seconds;
-      } else {
-        prefetch::StreamingSetOperation streaming(
-            processor, prefetch::DmaConfig{}, 0, settings);
-        DBA_ASSIGN_OR_RETURN(prefetch::StreamingRun stream_run,
-                             streaming.Run(SetOp::kIntersect, a, b));
-        run.result = std::move(stream_run.result);
-        run.accelerator_cycles = stream_run.total_cycles;
-        run.route_seconds = static_cast<double>(stream_run.total_cycles) /
-                            processor->frequency_hz();
-        run.streamed = true;
-      }
+      DBA_ASSIGN_OR_RETURN(
+          prefetch::CoreSetOpRun core_run,
+          prefetch::RunCoreSetOperation(*processor, SetOp::kIntersect, a, b,
+                                        settings));
+      run.result = std::move(core_run.result);
+      run.accelerator_cycles = core_run.cycles;
+      run.route_seconds =
+          static_cast<double>(core_run.cycles) / processor->frequency_hz();
+      run.streamed = core_run.streamed;
       return run;
     }
     case Route::kGalloping: {

@@ -109,6 +109,12 @@ class Planner {
   /// `index_available` gates the partition-probe route.
   PlanDecision Plan(size_t a_size, size_t b_size, bool index_available) const;
 
+  /// Picks the cheapest host kernel for an (|A|, |B|) intersection that
+  /// must avoid the accelerator (the service's degraded mode). No index
+  /// exists, so the partition-probe route is charged its transient index
+  /// build over the larger input.
+  PlanDecision PlanHost(size_t a_size, size_t b_size) const;
+
   /// The process-wide calibrated cost model: per-route constants fitted
   /// from a one-time microcalibration (host routes timed on synthetic
   /// sets; the EIS curve fitted from two turbo-mode simulator runs),

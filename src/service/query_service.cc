@@ -241,6 +241,18 @@ std::future<ServiceResponse> QueryService::Submit(ServiceRequest request) {
   std::future<ServiceResponse> future = job.promise.get_future();
   submitted_.fetch_add(1, std::memory_order_relaxed);
   ins.submitted->Increment();
+  if (job.request.predicate == nullptr) {
+    // Direct operands are checked once, here: the kernels downstream
+    // trust their input order.
+    Status valid =
+        ValidateOperands(job.request.op, job.request.a, job.request.b);
+    if (!valid.ok()) {
+      ServiceResponse response;
+      response.status = std::move(valid);
+      job.promise.set_value(std::move(response));
+      return future;
+    }
+  }
   int priority = job.request.priority;
   const auto boost = config_.tenant_priorities.find(job.request.tenant);
   if (boost != config_.tenant_priorities.end()) priority += boost->second;

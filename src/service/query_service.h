@@ -170,8 +170,11 @@ class QueryService {
                       std::vector<uint32_t> values);
 
   /// Admits `request` and returns a future for its response. The future
-  /// is always fulfilled: with the result, kUnavailable (queue full or
-  /// service stopped), kDeadlineExceeded (shed), or the execution error.
+  /// is always fulfilled: with the result, kInvalidArgument (a direct
+  /// operand out of order: intersect/union/difference need strictly
+  /// increasing sets, merge non-decreasing ones), kUnavailable (queue
+  /// full or service stopped), kDeadlineExceeded (shed), or the execution
+  /// error.
   std::future<ServiceResponse> Submit(ServiceRequest request);
 
   /// Test hooks: freeze/unfreeze dispatch (queued work keeps admitting

@@ -136,10 +136,10 @@ class Board {
   int host_threads() const { return host_threads_; }
   /// The board's host worker pool (null when host_threads() == 1).
   /// Callers may borrow it for their own independent work, e.g.
-  /// QueryEngine::EnableConcurrentSorts.
+  /// QueryService fanning predicate queries out per pinned core.
   common::ThreadPool* host_pool() const { return pool_.get(); }
-  /// Direct access to core `i` (for borrowing an idle core as a sibling
-  /// executor; the board and the caller must not run it concurrently).
+  /// Direct access to core `i` (for pinning a QueryEngine to a core; the
+  /// board and the caller must not run it concurrently).
   Processor* core(int i) { return cores_[static_cast<size_t>(i)].get(); }
   /// The kernel programs shared by all cores of this board.
   const std::shared_ptr<const ProgramCache>& programs() const {

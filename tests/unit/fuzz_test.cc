@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -254,6 +256,15 @@ TEST(ServiceFuzzTest, ArbitrarySubmissionsNeverCrashNorLie) {
   const char* tables[] = {"orders", "orders", "orders", "ghosts", ""};
   const char* tenants[] = {"a", "a", "a", "b", ""};
 
+  {
+    // One unsorted operand used to reach a kernel and abort the process.
+    ServiceRequest unsorted;
+    unsorted.a = {9, 7, 5, 3, 1};
+    unsorted.b = {3, 4, 5, 9};
+    EXPECT_EQ(service->Submit(std::move(unsorted)).get().status.code(),
+              StatusCode::kInvalidArgument);
+  }
+
   Random rng(0xD1CE);
   for (int round = 0; round < 40; ++round) {
     struct Pending {
@@ -285,6 +296,18 @@ TEST(ServiceFuzzTest, ArbitrarySubmissionsNeverCrashNorLie) {
         if (rng.Uniform(3) != 0) {
           request.b = service::test::MakeSortedSet(rng, 48, 2048);
         }
+        // Malformed operands: a duplicated element (valid only for a
+        // merge) or two elements out of order.
+        std::vector<uint32_t>& side = rng.Uniform(2) == 0 ? request.a
+                                                          : request.b;
+        const uint64_t flaw = rng.Uniform(6);
+        if (flaw == 0 && !side.empty()) {
+          const size_t at = rng.Uniform(side.size());
+          side.insert(side.begin() + static_cast<ptrdiff_t>(at), side[at]);
+        } else if (flaw == 1 && side.size() >= 2) {
+          const size_t at = rng.Uniform(side.size() - 1);
+          std::swap(side[at], side[at + 1]);
+        }
       }
       Pending p;
       p.request = request;
@@ -294,6 +317,21 @@ TEST(ServiceFuzzTest, ArbitrarySubmissionsNeverCrashNorLie) {
     service->Drain();
     for (Pending& p : pending) {
       const ServiceResponse response = p.future.get();
+      if (p.request.predicate == nullptr) {
+        // Out-of-order operands are rejected as such, never executed.
+        const auto out_of_order = [&](const std::vector<uint32_t>& v) {
+          return p.request.op == SetOp::kMerge
+                     ? !std::is_sorted(v.begin(), v.end())
+                     : std::adjacent_find(v.begin(), v.end(),
+                                          std::greater_equal<uint32_t>()) !=
+                           v.end();
+        };
+        if (out_of_order(p.request.a) || out_of_order(p.request.b)) {
+          EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+              << "round " << round << ": " << response.status;
+          continue;
+        }
+      }
       if (!response.status.ok()) continue;  // clean rejection is fine
       // An OK response must be verifiable against a serial recompute.
       if (p.request.predicate != nullptr) {

@@ -10,7 +10,6 @@
 #include "baseline/galloping_baseline.h"
 #include "baseline/scalar_baseline.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/workload.h"
 #include "obs/metrics/metrics.h"
 #include "query/engine.h"
@@ -140,6 +139,37 @@ TEST(PlannerTest, PartitionRouteNeedsAnIndex) {
   options.allow_partition_index = false;
   Planner no_partition(options);
   EXPECT_NE(no_partition.Plan(64, 65536, true).route,
+            Route::kPartitionProbe);
+}
+
+TEST(PlannerTest, HostPlanChargesTheTransientIndexBuild) {
+  // Degraded mode's choice: SIMD merge unless galloping is strictly
+  // cheaper, then the partition probe only if it beats both even after
+  // building its index over the larger set.
+  PlannerOptions options;
+  options.cost_model = DefaultCostModel();
+  const Planner planner(options);
+  const CostModel& model = *options.cost_model;
+  for (size_t a = 1; a <= (size_t{1} << 20); a = a * 3 + 1) {
+    for (size_t b = 1; b <= (size_t{1} << 20); b = b * 5 + 2) {
+      Route expected = Route::kSimdMerge;
+      double best = model.SimdMergeNs(a, b);
+      if (model.GallopingNs(a, b) < best) {
+        expected = Route::kGalloping;
+        best = model.GallopingNs(a, b);
+      }
+      if (model.PartitionProbeNs(a, b) +
+              model.PartitionBuildNs(std::max(a, b)) <
+          best) {
+        expected = Route::kPartitionProbe;
+      }
+      EXPECT_EQ(planner.PlanHost(a, b).route, expected) << a << " x " << b;
+    }
+  }
+  // A probe that is nearly free wins once the build is cheap too.
+  options.cost_model->partition_probe_ns = 0.001;
+  options.cost_model->partition_build_ns_per_element = 0.001;
+  EXPECT_EQ(Planner(options).PlanHost(64, 65536).route,
             Route::kPartitionProbe);
 }
 
@@ -389,11 +419,9 @@ TEST_F(PlannerEngineTest, MetricsRouteCountersMatchQueryStats) {
   }
 }
 
-TEST_F(PlannerEngineTest, PlannedJoinKeysMatchesSerialUnderHostThreads) {
-  // JoinKeys' final intersection routes through the planner; with
-  // concurrent host sorts enabled the result, plan, and route counters
-  // must stay identical to the serial engine.
-  Random rng(123);
+TEST_F(PlannerEngineTest, PlannedJoinKeysMatchesAlwaysEis) {
+  // JoinKeys' final intersection routes through the planner; the keys
+  // must match the always-EIS engine's.
   std::vector<uint32_t> keys_a(1500);
   std::vector<uint32_t> keys_b(900);
   std::iota(keys_a.begin(), keys_a.end(), 10u);
@@ -405,28 +433,17 @@ TEST_F(PlannerEngineTest, PlannedJoinKeysMatchesSerialUnderHostThreads) {
   ASSERT_TRUE(orders.AddColumn("cust_key", std::move(keys_a)).ok());
   ASSERT_TRUE(customers.AddColumn("key", std::move(keys_b)).ok());
 
-  QueryEngine serial(&orders, processor_.get());
-  serial.EnableAdaptivePlanner(TestPlannerOptions());
-  QueryStats serial_stats;
-  auto serial_keys =
-      serial.JoinKeys("cust_key", customers, "key", &serial_stats);
-  ASSERT_TRUE(serial_keys.ok()) << serial_keys.status();
+  QueryEngine always_eis(&orders, processor_.get());
+  auto expected = always_eis.JoinKeys("cust_key", customers, "key");
+  ASSERT_TRUE(expected.ok()) << expected.status();
 
-  auto sibling = Processor::Create(processor_->kind(), processor_->options());
-  ASSERT_TRUE(sibling.ok());
-  common::ThreadPool pool(2);
-  QueryEngine parallel(&orders, processor_.get());
-  parallel.EnableAdaptivePlanner(TestPlannerOptions());
-  parallel.EnableConcurrentSorts(&pool, sibling->get());
-  QueryStats parallel_stats;
-  auto parallel_keys =
-      parallel.JoinKeys("cust_key", customers, "key", &parallel_stats);
-  ASSERT_TRUE(parallel_keys.ok()) << parallel_keys.status();
-
-  EXPECT_EQ(*parallel_keys, *serial_keys);
-  EXPECT_EQ(parallel_stats.plan, serial_stats.plan);
-  EXPECT_EQ(parallel_stats.route_counts, serial_stats.route_counts);
-  EXPECT_EQ(parallel_stats.planned_ops, serial_stats.planned_ops);
+  QueryEngine planned(&orders, processor_.get());
+  planned.EnableAdaptivePlanner(TestPlannerOptions());
+  QueryStats stats;
+  auto keys = planned.JoinKeys("cust_key", customers, "key", &stats);
+  ASSERT_TRUE(keys.ok()) << keys.status();
+  EXPECT_EQ(*keys, *expected);
+  EXPECT_EQ(stats.planned_ops, 1u);
 }
 
 TEST_F(PlannerEngineTest, DisableRestoresAlwaysEis) {

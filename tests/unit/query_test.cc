@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <future>
 #include <memory>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "query/engine.h"
 #include "query/planner.h"
 #include "query/index.h"
@@ -354,51 +352,6 @@ TEST_F(QueryEngineTest, JoinKeysMatchesReference) {
   EXPECT_GE(stats.set_operations, 1u);
 }
 
-TEST_F(QueryEngineTest, ConcurrentJoinKeysMatchesSerial) {
-  // The two key-column sorts are independent; running them on
-  // concurrent host threads (the second on a sibling processor) must
-  // leave results, cycle counts, and the rendered plan bit-identical.
-  Table customers("customers");
-  Table orders2("orders2");
-  Random rng(47);
-  std::vector<uint32_t> left_keys;
-  std::vector<uint32_t> right_keys;
-  uint32_t next = 0;
-  for (int i = 0; i < 2000; ++i) {
-    next += 1 + static_cast<uint32_t>(rng.Uniform(3));
-    if (rng.Bernoulli(0.6)) left_keys.push_back(next);
-    if (rng.Bernoulli(0.6)) right_keys.push_back(next);
-  }
-  ASSERT_TRUE(orders2.AddColumn("cust_key", std::move(left_keys)).ok());
-  ASSERT_TRUE(customers.AddColumn("key", std::move(right_keys)).ok());
-
-  QueryEngine serial(&orders2, processor_.get());
-  QueryStats serial_stats;
-  auto serial_keys =
-      serial.JoinKeys("cust_key", customers, "key", &serial_stats);
-  ASSERT_TRUE(serial_keys.ok()) << serial_keys.status();
-
-  auto sibling = Processor::Create(processor_->kind(),
-                                   processor_->options());
-  ASSERT_TRUE(sibling.ok());
-  common::ThreadPool pool(2);
-  QueryEngine parallel(&orders2, processor_.get());
-  parallel.EnableConcurrentSorts(&pool, sibling->get());
-  QueryStats parallel_stats;
-  auto parallel_keys =
-      parallel.JoinKeys("cust_key", customers, "key", &parallel_stats);
-  ASSERT_TRUE(parallel_keys.ok()) << parallel_keys.status();
-
-  EXPECT_EQ(*parallel_keys, *serial_keys);
-  EXPECT_EQ(parallel_stats.sorts, serial_stats.sorts);
-  EXPECT_EQ(parallel_stats.set_operations, serial_stats.set_operations);
-  EXPECT_EQ(parallel_stats.accelerator_cycles,
-            serial_stats.accelerator_cycles);
-  EXPECT_EQ(parallel_stats.elements_processed,
-            serial_stats.elements_processed);
-  EXPECT_EQ(parallel_stats.plan, serial_stats.plan);
-}
-
 TEST_F(QueryEngineTest, JoinKeysRejectsDuplicateKeys) {
   Table left("left");
   Table right("right");
@@ -434,27 +387,6 @@ TEST_F(QueryEngineTest, UpdateColumnBumpsVersionAndRebuildsStaleIndex) {
   auto rids2 = engine_->Select(*predicate);
   ASSERT_TRUE(rids2.ok()) << rids2.status();
   EXPECT_EQ(*rids2, ScanSelect(table_, *predicate));
-}
-
-TEST_F(QueryEngineTest, SubmitAsyncMatchesSelect) {
-  std::shared_ptr<const Predicate> predicate(
-      And(Equals("region", 1), GreaterEq("amount", 4000)));
-  const auto expected = ScanSelect(table_, *predicate);
-
-  auto future = engine_->Submit(predicate);
-  auto rids = future.get();
-  ASSERT_TRUE(rids.ok()) << rids.status();
-  EXPECT_EQ(*rids, expected);
-
-  // Several submissions in flight at once: the engine serializes them
-  // internally and every future resolves to the same answer.
-  std::vector<std::future<Result<std::vector<Rid>>>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(engine_->Submit(predicate));
-  for (auto& f : futures) {
-    auto result = f.get();
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(*result, expected);
-  }
 }
 
 // Regression: retry accounting used to be wired only into the EIS
@@ -495,6 +427,40 @@ TEST_F(QueryEngineTest, RetryAccountingIsRouteIndependent) {
     EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable)
         << RouteName(route);
   }
+}
+
+// Regression: the ORDER BY sort ran outside the retry budget, so a
+// watchdog trip on its first attempt failed the query even with
+// attempts to spare (JoinKeys' column sorts already retried).
+TEST_F(QueryEngineTest, OrderBySortRetriesUnderTheWatchdog) {
+  auto predicate = Equals("region", 2);
+  QueryStats clean;
+  auto expected = engine_->SelectValuesOrdered(*predicate, "amount", &clean);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(clean.set_operations, 0u);  // the sort is every cycle
+  ASSERT_EQ(clean.sorts, 1u);
+
+  QueryEngine engine(&table_, processor_.get());
+  ASSERT_TRUE(engine.BuildIndex("region").ok());
+  RunSettings settings;
+  settings.max_cycles = clean.accelerator_cycles * 2 / 3;
+  engine.SetRunSettings(settings);
+  engine.SetMaxAttempts(4);
+  QueryStats stats;
+  auto values = engine.SelectValuesOrdered(*predicate, "amount", &stats);
+  ASSERT_TRUE(values.ok()) << values.status();
+  EXPECT_EQ(*values, *expected);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.sorts, 1u);
+  // The failed attempt is noted in the plan but charges no cycles.
+  EXPECT_EQ(stats.accelerator_cycles, clean.accelerator_cycles);
+  ASSERT_FALSE(stats.plan.empty());
+  EXPECT_EQ(stats.plan.size(), clean.plan.size() + 1);
+  EXPECT_EQ(stats.plan[1].rfind("retry sort of ", 0), 0u) << stats.plan[1];
+
+  engine.SetMaxAttempts(1);
+  EXPECT_EQ(engine.SelectValuesOrdered(*predicate, "amount").status().code(),
+            StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(QueryEngineTest, WorksOnScalarConfigurationToo) {
