@@ -8,12 +8,13 @@ namespace dba::obs {
 namespace {
 
 /// Stable identity of one result row: every string member plus the
-/// integer "cores" column, in key order. Metric columns are all
-/// numeric, so they never leak into the identity.
+/// integer "cores" column, in key order. Metric columns are numeric, so
+/// they never leak into the identity; nor do the planner rows' `chosen`
+/// and `best_measured` route names, measurements that vary run to run.
 std::string RowKey(const JsonValue& row) {
   std::map<std::string, std::string> parts;
   for (const auto& [key, value] : row.members()) {
-    if (value.is_string()) {
+    if (value.is_string() && key != "chosen" && key != "best_measured") {
       parts[key] = value.as_string();
     } else if (key == "cores" && value.is_number()) {
       parts[key] = std::to_string(value.as_u64());

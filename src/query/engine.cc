@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <utility>
 
 #include "obs/metrics/metrics.h"
 #include "prefetch/streaming.h"
@@ -17,13 +18,31 @@ double ElapsedNs(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double, std::nano>(end - begin).count();
 }
 
-// Registered once; hot-path cost is one relaxed fetch_add per set op /
-// sort / query.  Latency histograms observe *simulated* accelerator
+// The QueryStats counts the registry exports, one row each, read by
+// registration and by PublishStats, the only place they (and the
+// route_counts series) move. The latency histogram observes *simulated*
 // cycles, so registry snapshots stay deterministic across host threads.
+struct StatsCounter {
+  uint32_t QueryStats::*field;
+  const char* name;
+  const char* help;
+};
+
+constexpr StatsCounter kStatsCounters[] = {
+    {&QueryStats::set_operations, "dba_query_setops_total",
+     "Set operations run by query plans."},
+    {&QueryStats::sorts, "dba_query_sorts_total",
+     "Accelerator sorts run by query plans."},
+    {&QueryStats::retries, "dba_query_retries_total",
+     "Transient-failure retries across set ops and sorts."},
+    {&QueryStats::partition_index_builds,
+     "dba_query_partition_index_builds_total",
+     "Lazy PartitionIndex materializations (savings meter paybacks)."},
+};
+constexpr size_t kNumStatsCounters = std::size(kStatsCounters);
+
 struct QueryInstrumentSet {
-  obs::Counter* setops;
-  obs::Counter* sorts;
-  obs::Counter* retries;
+  std::array<obs::Counter*, kNumStatsCounters> stats;
   obs::Histogram* latency;
 };
 
@@ -31,13 +50,10 @@ const QueryInstrumentSet& QueryInstruments() {
   static const QueryInstrumentSet instruments = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     QueryInstrumentSet out;
-    out.setops = registry.GetCounter("dba_query_setops_total",
-                                     "Set operations run by query plans.");
-    out.sorts = registry.GetCounter("dba_query_sorts_total",
-                                    "Accelerator sorts run by query plans.");
-    out.retries = registry.GetCounter(
-        "dba_query_retries_total",
-        "Transient-failure retries across set ops and sorts.");
+    for (size_t i = 0; i < kNumStatsCounters; ++i) {
+      out.stats[i] = registry.GetCounter(kStatsCounters[i].name,
+                                         kStatsCounters[i].help);
+    }
     out.latency = registry.GetHistogram(
         "dba_query_latency_cycles",
         "Simulated accelerator cycles per public query.");
@@ -56,7 +72,6 @@ struct PlanInstrumentSet {
   std::array<obs::Histogram*, kNumRoutes> route_wall_ns;
   obs::Histogram* decision_ns;
   obs::Histogram* eis_cycles;
-  obs::Counter* index_builds;
 };
 
 const PlanInstrumentSet& PlanInstruments() {
@@ -80,12 +95,36 @@ const PlanInstrumentSet& PlanInstruments() {
     out.eis_cycles = registry.GetHistogram(
         "dba_query_plan_eis_cycles",
         "Simulated cycles of planner-routed EIS intersections.");
-    out.index_builds = registry.GetCounter(
-        "dba_query_partition_index_builds_total",
-        "Lazy PartitionIndex materializations (savings meter paybacks).");
     return out;
   }();
   return instruments;
+}
+
+/// The published QueryStats counts at one instant (allocation-free).
+struct StatsTally {
+  std::array<uint32_t, kNumStatsCounters> counts{};
+  std::array<uint32_t, kNumRoutes> routes{};
+};
+
+StatsTally Tally(const QueryStats& stats) {
+  StatsTally tally;
+  for (size_t i = 0; i < kNumStatsCounters; ++i) {
+    tally.counts[i] = stats.*kStatsCounters[i].field;
+  }
+  tally.routes = stats.route_counts;
+  return tally;
+}
+
+/// Adds what `stats` counted since `entry`, skipping zero deltas.
+void PublishStats(const StatsTally& entry, const QueryStats& stats) {
+  for (size_t i = 0; i < kNumStatsCounters; ++i) {
+    const uint32_t delta = stats.*kStatsCounters[i].field - entry.counts[i];
+    if (delta != 0) QueryInstruments().stats[i]->Increment(delta);
+  }
+  for (size_t r = 0; r < kNumRoutes; ++r) {
+    const uint32_t delta = stats.route_counts[r] - entry.routes[r];
+    if (delta != 0) PlanInstruments().route_total[r]->Increment(delta);
+  }
 }
 
 obs::Counter* QueryCounter(std::string_view op) {
@@ -102,16 +141,25 @@ obs::Counter* QueryCounter(std::string_view op) {
   return select_ordered;
 }
 
-void AddPlanStep(QueryStats* stats, std::string step) {
-  if (stats != nullptr) stats->plan.push_back(std::move(step));
-}
-
-/// Failure codes worth re-executing: the attempt may succeed on a retry
-/// (a tripped watchdog, a dropped transfer, detected data corruption).
-/// Anything else -- bad inputs, missing indexes -- fails immediately.
-bool IsTransient(StatusCode code) {
-  return code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kUnavailable || code == StatusCode::kDataLoss;
+/// Runs a public query's `body` on the caller's stats (or a local one,
+/// when the caller passed none) and publishes what it counted on every
+/// exit; on success also sets accelerator_seconds and counts the query.
+template <typename Fn>
+auto RunQuery(std::string_view op, QueryStats* stats, double frequency_hz,
+              Fn&& body) -> decltype(body(std::declval<QueryStats&>())) {
+  QueryStats local_stats;
+  QueryStats& s = stats != nullptr ? *stats : local_stats;
+  const StatsTally entry = Tally(s);
+  const uint64_t cycles_before = s.accelerator_cycles;
+  auto result = body(s);
+  PublishStats(entry, s);
+  if (result.ok()) {
+    s.accelerator_seconds =
+        static_cast<double>(s.accelerator_cycles) / frequency_hz;
+    QueryCounter(op)->Increment();
+    QueryInstruments().latency->Observe(s.accelerator_cycles - cycles_before);
+  }
+  return result;
 }
 
 /// The attempt's settings: the base watchdog budget doubles with every
@@ -160,11 +208,12 @@ Status QueryEngine::RefreshIndexIfStale(const std::string& column) {
 }
 
 template <typename Fn>
-auto QueryEngine::RunAttempts(const AttemptSite& site, QueryStats* stats,
+auto QueryEngine::RunAttempts(const AttemptSite& site, QueryStats& stats,
                               Fn&& attempt)
     -> decltype(attempt(RunSettings{})) {
   Status last_error = Status::Internal("no attempt executed");
   for (int i = 0; i < max_attempts_; ++i) {
+    if (i > 0) ++stats.retries;
     last_error = Status::Ok();
     if (attempt_fault_hook_ && !site.hook_prefix.empty()) {
       last_error = attempt_fault_hook_(
@@ -172,18 +221,13 @@ auto QueryEngine::RunAttempts(const AttemptSite& site, QueryStats* stats,
     }
     if (last_error.ok()) {
       auto run = attempt(AttemptSettings(run_settings_, i));
-      if (run.ok()) {
-        QueryInstruments().retries->Increment(static_cast<uint64_t>(i));
-        if (stats != nullptr) stats->retries += static_cast<uint32_t>(i);
-        return run;
-      }
+      if (run.ok()) return run;
       last_error = run.status();
     }
     if (!IsTransient(last_error.code())) return last_error;
     if (!site.retry_note.empty()) {
-      AddPlanStep(stats,
-                  std::string(site.retry_note) + " after " +
-                      std::string(StatusCodeToString(last_error.code())));
+      stats.plan.push_back(std::string(site.retry_note) + " after " +
+                           std::string(StatusCodeToString(last_error.code())));
     }
   }
   return last_error;
@@ -192,7 +236,7 @@ auto QueryEngine::RunAttempts(const AttemptSite& site, QueryStats* stats,
 Result<prefetch::CoreSetOpRun> QueryEngine::ExecuteEis(SetOp op,
                                                        std::span<const Rid> a,
                                                        std::span<const Rid> b,
-                                                       QueryStats* stats) {
+                                                       QueryStats& stats) {
   return RunAttempts(
       {.hook_prefix = "eis:", .hook_name = eis::SopModeName(op)}, stats,
       [&](const RunSettings& settings) {
@@ -202,7 +246,7 @@ Result<prefetch::CoreSetOpRun> QueryEngine::ExecuteEis(SetOp op,
 
 Result<prefetch::ExternalSortRun> QueryEngine::Sort(
     std::span<const uint32_t> values, std::string_view retry_note,
-    QueryStats* stats) {
+    QueryStats& stats) {
   DBA_ASSIGN_OR_RETURN(
       prefetch::ExternalSortRun run,
       RunAttempts({.retry_note = retry_note}, stats,
@@ -210,16 +254,13 @@ Result<prefetch::ExternalSortRun> QueryEngine::Sort(
                     return prefetch::ExternalSort(*processor_, values,
                                                   settings);
                   }));
-  QueryInstruments().sorts->Increment(run.chunks);
-  if (stats != nullptr) {
-    stats->sorts += run.chunks;
-    stats->accelerator_cycles += run.sort_cycles + run.merge_cycles;
-  }
+  stats.sorts += run.chunks;
+  stats.accelerator_cycles += run.sort_cycles + run.merge_cycles;
   return run;
 }
 
 Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
-                                                QueryStats* stats) {
+                                                QueryStats& stats) {
   DBA_RETURN_IF_ERROR(RefreshIndexIfStale(leaf.column));
   auto it = indexes_.find(leaf.column);
   if (it == indexes_.end()) {
@@ -249,24 +290,22 @@ Result<QueryEngine::Operand> QueryEngine::Probe(const Predicate& leaf,
   out.column = leaf.column;
   out.probe_key =
       leaf.column + ":" + std::to_string(lo) + ":" + std::to_string(hi);
-  if (stats != nullptr) {
-    ++stats->index_probes;
-    AddPlanStep(stats, "probe " + leaf.ToString() + " -> " +
+  ++stats.index_probes;
+  stats.plan.push_back("probe " + leaf.ToString() + " -> " +
                            std::to_string(out.rids.size()) + " RIDs");
-  }
   return out;
 }
 
 Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
                                                const OperandView& b,
-                                               QueryStats* stats) {
+                                               QueryStats& stats) {
   // Degenerate inputs need no accelerator round trip.
   if (a.rids.empty() || b.rids.empty()) {
     DBA_ASSIGN_OR_RETURN(std::vector<Rid> result,
                          EmptyOperandResult(op, a.rids, b.rids));
-    AddPlanStep(stats, std::string(eis::SopModeName(op)) +
-                           " (degenerate) -> " +
-                           std::to_string(result.size()) + " RIDs");
+    stats.plan.push_back(std::string(eis::SopModeName(op)) +
+                             " (degenerate) -> " +
+                             std::to_string(result.size()) + " RIDs");
     return result;
   }
 
@@ -278,22 +317,19 @@ Result<std::vector<Rid>> QueryEngine::RunSetOp(SetOp op, const OperandView& a,
 
   DBA_ASSIGN_OR_RETURN(prefetch::CoreSetOpRun run,
                        ExecuteEis(op, a.rids, b.rids, stats));
-  QueryInstruments().setops->Increment();
-  if (stats != nullptr) {
-    ++stats->set_operations;
-    stats->accelerator_cycles += run.cycles;
-    stats->elements_processed += a.rids.size() + b.rids.size();
-    AddPlanStep(stats, std::string(eis::SopModeName(op)) + " " +
+  ++stats.set_operations;
+  stats.accelerator_cycles += run.cycles;
+  stats.elements_processed += a.rids.size() + b.rids.size();
+  stats.plan.push_back(std::string(eis::SopModeName(op)) + " " +
                            std::to_string(a.rids.size()) + " x " +
                            std::to_string(b.rids.size()) + " -> " +
                            std::to_string(run.result.size()) + " RIDs" +
                            (run.streamed ? " [streamed]" : ""));
-  }
   return std::move(run.result);
 }
 
 Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
-    const OperandView& a, const OperandView& b, QueryStats* stats) {
+    const OperandView& a, const OperandView& b, QueryStats& stats) {
   const PlanInstrumentSet& plan_metrics = PlanInstruments();
   const CostModel& model = planner_->cost_model();
   const bool a_is_small = a.rids.size() <= b.rids.size();
@@ -344,10 +380,9 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
       decision.index_available = true;
       decision.chosen_ns =
           decision.estimated_ns[static_cast<size_t>(Route::kPartitionProbe)];
-      plan_metrics.index_builds->Increment();
-      if (stats != nullptr) ++stats->partition_index_builds;
-      AddPlanStep(stats, "build partition index on " + column + " (" +
-                             std::to_string(large.rids.size()) + " entries)");
+      ++stats.partition_index_builds;
+      stats.plan.push_back("build partition index on " + column + " (" +
+                               std::to_string(large.rids.size()) + " entries)");
     }
     state.missed_savings_ns = meter.missed_savings_ns();
   }
@@ -355,8 +390,7 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
   // Execute the chosen route. Every route runs under the engine's one
   // attempt loop (SetMaxAttempts): retry accounting must not depend on
   // where the planner happened to send the work.
-  const uint64_t cycles_base =
-      stats != nullptr ? stats->accelerator_cycles : 0;
+  const uint64_t cycles_base = stats.accelerator_cycles;
   std::vector<Rid> result;
   uint64_t cycles = 0;
   double route_seconds = 0;
@@ -390,26 +424,22 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
   }
 
   const size_t route_idx = static_cast<size_t>(decision.route);
-  plan_metrics.route_total[route_idx]->Increment();
   plan_metrics.route_wall_ns[route_idx]->Observe(
       static_cast<uint64_t>(route_seconds * 1e9));
-  QueryInstruments().setops->Increment();
-  if (stats != nullptr) {
-    ++stats->set_operations;
-    ++stats->planned_ops;
-    ++stats->route_counts[route_idx];
-    stats->accelerator_cycles += cycles;
-    stats->elements_processed += a.rids.size() + b.rids.size();
-    if (decision.route != Route::kEisMerge) {
-      stats->host_route_seconds += route_seconds;
-    }
-    AddPlanStep(stats, "intersect[" + std::string(RouteName(decision.route)) +
+  ++stats.set_operations;
+  ++stats.planned_ops;
+  ++stats.route_counts[route_idx];
+  stats.accelerator_cycles += cycles;
+  stats.elements_processed += a.rids.size() + b.rids.size();
+  if (decision.route != Route::kEisMerge) {
+    stats.host_route_seconds += route_seconds;
+  }
+  stats.plan.push_back("intersect[" + std::string(RouteName(decision.route)) +
                            (decision.forced ? ", forced" : "") + "] " +
                            std::to_string(a.rids.size()) + " x " +
                            std::to_string(b.rids.size()) + " -> " +
                            std::to_string(result.size()) + " RIDs" +
                            (streamed ? " [streamed]" : ""));
-  }
   if (run_settings_.trace_sink != nullptr) {
     // Planner span on the simulated timeline: EIS spans are exact; host
     // routes are rendered at their wall-equivalent width in cycles.
@@ -426,14 +456,14 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
 }
 
 Result<std::vector<Rid>> QueryEngine::Complement(const std::vector<Rid>& rids,
-                                                 QueryStats* stats) {
+                                                 QueryStats& stats) {
   std::vector<Rid> all(table_->num_rows());
   std::iota(all.begin(), all.end(), 0u);
   return RunSetOp(SetOp::kDifference, all, rids, stats);
 }
 
 Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
-                                                   QueryStats* stats) {
+                                                   QueryStats& stats) {
   if (predicate.is_leaf()) return Probe(predicate, stats);
 
   switch (predicate.kind) {
@@ -510,10 +540,8 @@ Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
 }
 
 void QueryEngine::EnableAdaptivePlanner(const PlannerOptions& options) {
+  DisableAdaptivePlanner();
   planner_ = std::make_unique<Planner>(options);
-  savings_.clear();
-  partition_indexes_.clear();
-  index_state_.clear();
 }
 
 void QueryEngine::DisableAdaptivePlanner() {
@@ -531,93 +559,76 @@ ColumnIndexState QueryEngine::partition_state(
 
 Result<std::vector<Rid>> QueryEngine::Select(const Predicate& predicate,
                                              QueryStats* stats) {
-  // Telemetry always flows through a stats object (a local one when the
-  // caller passed none) so the per-query latency delta is well defined
-  // even for callers that accumulate stats across queries.
-  QueryStats local_stats;
-  QueryStats* s = stats != nullptr ? stats : &local_stats;
-  const uint64_t cycles_before = s->accelerator_cycles;
-  DBA_ASSIGN_OR_RETURN(Operand matched, Evaluate(predicate, s));
-  s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
-                           processor_->frequency_hz();
-  QueryCounter("select")->Increment();
-  QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
-  return std::move(matched.rids);
+  return RunQuery("select", stats, processor_->frequency_hz(),
+                  [&](QueryStats& s) -> Result<std::vector<Rid>> {
+    DBA_ASSIGN_OR_RETURN(Operand matched, Evaluate(predicate, s));
+    return std::move(matched.rids);
+  });
 }
 
 Result<std::vector<uint32_t>> QueryEngine::JoinKeys(
     const std::string& column, const Table& other,
     const std::string& other_column, QueryStats* stats) {
-  QueryStats local_stats;
-  QueryStats* s = stats != nullptr ? stats : &local_stats;
-  const uint64_t cycles_before = s->accelerator_cycles;
-  const auto sort_keys =
-      [&](const Table& table,
-          const std::string& key_column) -> Result<std::vector<uint32_t>> {
-    DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> values,
-                         table.Column(key_column));
-    const std::string name = table.name() + "." + key_column;
-    DBA_ASSIGN_OR_RETURN(prefetch::ExternalSortRun run,
-                         Sort(values, "retry sort of " + name, s));
-    s->elements_processed += values.size();
-    if (std::adjacent_find(run.sorted.begin(), run.sorted.end()) !=
-        run.sorted.end()) {
-      return Status::InvalidArgument(
-          "JoinKeys requires unique keys; column '" + key_column +
-          "' of table '" + table.name() + "' has duplicates");
-    }
-    AddPlanStep(s, "sort join keys of " + name + " (" +
-                       std::to_string(run.sorted.size()) + " keys)");
-    return std::move(run.sorted);
-  };
-  DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> left, sort_keys(*table_, column));
-  DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> right,
-                       sort_keys(other, other_column));
-  DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> keys,
-                       RunSetOp(SetOp::kIntersect, left, right, s));
-  s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
-                           processor_->frequency_hz();
-  QueryCounter("join_keys")->Increment();
-  QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
-  return keys;
+  return RunQuery("join_keys", stats, processor_->frequency_hz(),
+                  [&](QueryStats& s) -> Result<std::vector<uint32_t>> {
+    const auto sort_keys =
+        [&](const Table& table,
+            const std::string& key_column) -> Result<std::vector<uint32_t>> {
+      DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> values,
+                           table.Column(key_column));
+      const std::string name = table.name() + "." + key_column;
+      DBA_ASSIGN_OR_RETURN(prefetch::ExternalSortRun run,
+                           Sort(values, "retry sort of " + name, s));
+      s.elements_processed += values.size();
+      if (std::adjacent_find(run.sorted.begin(), run.sorted.end()) !=
+          run.sorted.end()) {
+        return Status::InvalidArgument(
+            "JoinKeys requires unique keys; column '" + key_column +
+            "' of table '" + table.name() + "' has duplicates");
+      }
+      s.plan.push_back("sort join keys of " + name + " (" +
+                           std::to_string(run.sorted.size()) + " keys)");
+      return std::move(run.sorted);
+    };
+    DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> left,
+                         sort_keys(*table_, column));
+    DBA_ASSIGN_OR_RETURN(std::vector<uint32_t> right,
+                         sort_keys(other, other_column));
+    return RunSetOp(SetOp::kIntersect, left, right, s);
+  });
 }
 
 Result<std::vector<uint32_t>> QueryEngine::SelectValuesOrdered(
     const Predicate& predicate, const std::string& order_by,
     QueryStats* stats) {
-  QueryStats local_stats;
-  QueryStats* s = stats != nullptr ? stats : &local_stats;
-  const uint64_t cycles_before = s->accelerator_cycles;
-  DBA_ASSIGN_OR_RETURN(Operand matched, Evaluate(predicate, s));
-  const std::vector<Rid>& rids = matched.rids;
-  DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> column,
-                       table_->Column(order_by));
+  return RunQuery("select_values_ordered", stats, processor_->frequency_hz(),
+                  [&](QueryStats& s) -> Result<std::vector<uint32_t>> {
+    DBA_ASSIGN_OR_RETURN(Operand matched, Evaluate(predicate, s));
+    const std::vector<Rid>& rids = matched.rids;
+    DBA_ASSIGN_OR_RETURN(std::span<const uint32_t> column,
+                         table_->Column(order_by));
 
-  // Gather the qualifying values (in hardware: a prefetcher gather).
-  std::vector<uint32_t> values;
-  values.reserve(rids.size());
-  for (Rid rid : rids) values.push_back(column[rid]);
+    // Gather the qualifying values (in hardware: a prefetcher gather).
+    std::vector<uint32_t> values;
+    values.reserve(rids.size());
+    for (Rid rid : rids) values.push_back(column[rid]);
 
-  DBA_ASSIGN_OR_RETURN(
-      prefetch::ExternalSortRun run,
-      Sort(values, "retry sort of " + table_->name() + "." + order_by, s));
-  // Beyond the local store the chunk runs are merged pairwise by the
-  // streamed EIS merge kernel: each merge is a set operation.
-  const uint32_t merges = run.chunks - 1;
-  QueryInstruments().setops->Increment(merges);
-  s->set_operations += merges;
-  s->elements_processed += values.size() + run.merge_elements;
-  AddPlanStep(s, run.chunks == 1
-                     ? "sort " + std::to_string(values.size()) +
-                           " values on " + order_by
-                     : "external sort of " + std::to_string(values.size()) +
-                           " values (" + std::to_string(run.chunks) +
-                           " chunks, streamed merges)");
-  s->accelerator_seconds = static_cast<double>(s->accelerator_cycles) /
-                           processor_->frequency_hz();
-  QueryCounter("select_values_ordered")->Increment();
-  QueryInstruments().latency->Observe(s->accelerator_cycles - cycles_before);
-  return std::move(run.sorted);
+    DBA_ASSIGN_OR_RETURN(
+        prefetch::ExternalSortRun run,
+        Sort(values, "retry sort of " + table_->name() + "." + order_by, s));
+    // Beyond the local store the chunk runs are merged pairwise by the
+    // streamed EIS merge kernel: each merge is a set operation.
+    s.set_operations += run.chunks - 1;
+    s.elements_processed += values.size() + run.merge_elements;
+    s.plan.push_back(
+        run.chunks == 1
+            ? "sort " + std::to_string(values.size()) + " values on " +
+                  order_by
+            : "external sort of " + std::to_string(values.size()) +
+                  " values (" + std::to_string(run.chunks) +
+                  " chunks, streamed merges)");
+    return std::move(run.sorted);
+  });
 }
 
 }  // namespace dba::query

@@ -162,8 +162,8 @@ class QueryEngine {
     OperandView(const std::vector<Rid>& plain) : rids(plain) {}  // NOLINT
   };
 
-  Result<Operand> Evaluate(const Predicate& predicate, QueryStats* stats);
-  Result<Operand> Probe(const Predicate& leaf, QueryStats* stats);
+  Result<Operand> Evaluate(const Predicate& predicate, QueryStats& stats);
+  Result<Operand> Probe(const Predicate& leaf, QueryStats& stats);
 
   /// Rebuilds the secondary index on `column` when the table's column
   /// version moved past the version the index was built from, dropping
@@ -183,10 +183,10 @@ class QueryEngine {
 
   /// The engine's one attempt loop: runs `attempt(settings)` until it
   /// succeeds, fails with a non-transient code, or SetMaxAttempts runs
-  /// out, doubling the watchdog budget with every retry. On success the
-  /// retries are charged to `stats` (may be null) and the metrics.
+  /// out, doubling the watchdog budget with every retry. Every retry is
+  /// charged to `stats.retries`, whether or not the step succeeds.
   template <typename Fn>
-  auto RunAttempts(const AttemptSite& site, QueryStats* stats, Fn&& attempt)
+  auto RunAttempts(const AttemptSite& site, QueryStats& stats, Fn&& attempt)
       -> decltype(attempt(RunSettings{}));
 
   /// Sorts `values` (prefetch::ExternalSort) under the attempt loop and
@@ -194,25 +194,25 @@ class QueryEngine {
   /// merges and plan text.
   Result<prefetch::ExternalSortRun> Sort(std::span<const uint32_t> values,
                                          std::string_view retry_note,
-                                         QueryStats* stats);
+                                         QueryStats& stats);
 
   Result<std::vector<Rid>> RunSetOp(SetOp op, const OperandView& a,
-                                    const OperandView& b, QueryStats* stats);
+                                    const OperandView& b, QueryStats& stats);
   Result<std::vector<Rid>> Complement(const std::vector<Rid>& rids,
-                                      QueryStats* stats);
+                                      QueryStats& stats);
 
   /// The EIS datapath (prefetch::RunCoreSetOperation) under the attempt
   /// loop; charges only retries.
   Result<prefetch::CoreSetOpRun> ExecuteEis(SetOp op, std::span<const Rid> a,
                                             std::span<const Rid> b,
-                                            QueryStats* stats);
+                                            QueryStats& stats);
 
   /// Planner-routed intersection of two non-empty operands: decides,
   /// runs the lazy-index savings accounting, executes the chosen route,
   /// and records the decision in stats/metrics/trace.
   Result<std::vector<Rid>> RunPlannedIntersect(const OperandView& a,
                                                const OperandView& b,
-                                               QueryStats* stats);
+                                               QueryStats& stats);
 
   const Table* table_;
   Processor* processor_;

@@ -11,23 +11,63 @@ namespace dba::service {
 
 namespace {
 
+// Indexed by ServiceEvent and read by registration and Record: the
+// ServiceCounters field, the event's own counter (if any) and the reason
+// of its dba_service_shed_total series (if any).
+struct EventCounter {
+  uint64_t ServiceCounters::*field;
+  const char* name;
+  const char* help;
+  std::optional<ShedReason> shed = std::nullopt;
+};
+
+constexpr EventCounter kEventCounters[] = {
+    {&ServiceCounters::submitted, "dba_service_submitted_total",
+     "Requests submitted to the service."},
+    {&ServiceCounters::rejected, "dba_service_rejected_total",
+     "Requests shed at admission (queue full -> kUnavailable).",
+     ShedReason::kQueueFull},
+    {&ServiceCounters::shed, nullptr, nullptr, ShedReason::kDeadline},
+    {&ServiceCounters::dispatched, "dba_service_dispatched_total",
+     "Requests that reached execution."},
+    {&ServiceCounters::batches, "dba_service_batches_total",
+     "Dispatch batches executed."},
+    {&ServiceCounters::deduplicated, "dba_service_dedup_total",
+     "Requests answered by an identical request in the same batch."},
+    {&ServiceCounters::retries, "dba_service_retries_total",
+     "Transient re-executions across engine and board recovery."},
+    {&ServiceCounters::rate_limited, nullptr, nullptr,
+     ShedReason::kRateLimited},
+    {&ServiceCounters::breaker_sheds, nullptr, nullptr,
+     ShedReason::kBreakerOpen},
+    {&ServiceCounters::degraded, "dba_service_degraded_total",
+     "Responses served by host fallback while the breaker was open."},
+};
+static_assert(std::size(kEventCounters) == kNumServiceEvents);
+
+// Published from the ResultCache's own CacheStats (PublishCacheLocked).
+struct CacheCounter {
+  uint64_t CacheStats::*stat;
+  const char* name;
+  const char* help;
+};
+
+constexpr CacheCounter kCacheCounters[] = {
+    {&CacheStats::hits, "dba_service_cache_hits_total", "Result-cache hits."},
+    {&CacheStats::misses, "dba_service_cache_misses_total",
+     "Result-cache misses."},
+    {&CacheStats::evictions, "dba_service_cache_evictions_total",
+     "Result-cache LRU evictions."},
+    {&CacheStats::invalidations, "dba_service_cache_invalidations_total",
+     "Result-cache entries dropped for version staleness."},
+};
+
 struct ServiceInstruments {
-  obs::Counter* submitted;
-  obs::Counter* rejected;
-  /// Shed paths, labeled dba_service_shed_total{reason=...} and indexed
-  /// by ShedReason.
-  obs::Counter* shed_reason[kNumShedReasons];
-  obs::Counter* degraded;
-  obs::Counter* breaker_transitions;
+  /// Per ServiceEvent: its own counter and its shed series (or null).
+  std::array<std::array<obs::Counter*, 2>, kNumServiceEvents> events{};
+  std::array<obs::Counter*, std::size(kCacheCounters)> cache;
+  obs::Counter* breaker_transitions;  // end of ExecuteBatch
   obs::Gauge* breaker_state;
-  obs::Counter* dispatched;
-  obs::Counter* batches;
-  obs::Counter* deduplicated;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
-  obs::Counter* cache_evictions;
-  obs::Counter* cache_invalidations;
-  obs::Counter* retries;
   obs::Gauge* queue_depth;
   obs::Histogram* batch_size;
   obs::Histogram* latency_ns;
@@ -37,45 +77,27 @@ const ServiceInstruments& Instruments() {
   static const ServiceInstruments instruments = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     ServiceInstruments out;
-    out.submitted = registry.GetCounter("dba_service_submitted_total",
-                                        "Requests submitted to the service.");
-    out.rejected = registry.GetCounter(
-        "dba_service_rejected_total",
-        "Requests shed at admission (queue full -> kUnavailable).");
-    for (size_t r = 0; r < kNumShedReasons; ++r) {
-      out.shed_reason[r] = registry.GetCounter(
-          "dba_service_shed_total", "reason",
-          ShedReasonName(static_cast<ShedReason>(r)),
-          "Requests shed instead of executed, by reason.");
+    for (size_t e = 0; e < kNumServiceEvents; ++e) {
+      const EventCounter& row = kEventCounters[e];
+      if (row.name != nullptr) {
+        out.events[e][0] = registry.GetCounter(row.name, row.help);
+      }
+      if (row.shed.has_value()) {
+        out.events[e][1] = registry.GetCounter(
+            "dba_service_shed_total", "reason", ShedReasonName(*row.shed),
+            "Requests shed instead of executed, by reason.");
+      }
     }
-    out.degraded = registry.GetCounter(
-        "dba_service_degraded_total",
-        "Responses served by host fallback while the breaker was open.");
+    for (size_t i = 0; i < std::size(kCacheCounters); ++i) {
+      out.cache[i] = registry.GetCounter(kCacheCounters[i].name,
+                                         kCacheCounters[i].help);
+    }
     out.breaker_transitions =
         registry.GetCounter("dba_service_breaker_transitions_total",
                             "Circuit-breaker state changes.");
     out.breaker_state = registry.GetGauge(
         "dba_service_breaker_state",
         "Circuit-breaker state (0 closed, 1 half-open, 2 open).");
-    out.dispatched = registry.GetCounter(
-        "dba_service_dispatched_total", "Requests that reached execution.");
-    out.batches = registry.GetCounter("dba_service_batches_total",
-                                      "Dispatch batches executed.");
-    out.deduplicated = registry.GetCounter(
-        "dba_service_dedup_total",
-        "Requests answered by an identical request in the same batch.");
-    out.cache_hits = registry.GetCounter("dba_service_cache_hits_total",
-                                         "Result-cache hits.");
-    out.cache_misses = registry.GetCounter("dba_service_cache_misses_total",
-                                           "Result-cache misses.");
-    out.cache_evictions = registry.GetCounter(
-        "dba_service_cache_evictions_total", "Result-cache LRU evictions.");
-    out.cache_invalidations = registry.GetCounter(
-        "dba_service_cache_invalidations_total",
-        "Result-cache entries dropped for version staleness.");
-    out.retries = registry.GetCounter(
-        "dba_service_retries_total",
-        "Transient re-executions across engine and board recovery.");
     out.queue_depth = registry.GetGauge("dba_service_queue_depth",
                                         "Requests currently queued.");
     out.batch_size = registry.GetHistogram("dba_service_batch_size",
@@ -89,16 +111,6 @@ const ServiceInstruments& Instruments() {
   return instruments;
 }
 
-/// Mirrors a ResultCache stats delta into the global instruments.
-void MirrorCacheDelta(const CacheStats& before, const CacheStats& after) {
-  const ServiceInstruments& ins = Instruments();
-  ins.cache_hits->Increment(after.hits - before.hits);
-  ins.cache_misses->Increment(after.misses - before.misses);
-  ins.cache_evictions->Increment(after.evictions - before.evictions);
-  ins.cache_invalidations->Increment(after.invalidations -
-                                     before.invalidations);
-}
-
 /// Distinct columns referenced by a predicate tree, in first-seen order.
 void CollectColumns(const query::Predicate& predicate,
                     std::vector<std::string>* out) {
@@ -109,6 +121,20 @@ void CollectColumns(const query::Predicate& predicate,
     return;
   }
   for (const auto& child : predicate.children) CollectColumns(*child, out);
+}
+
+/// The current version of every column `request`'s predicate reads, in
+/// first-seen order. The caller holds the table's lock.
+Result<std::vector<ColumnVersion>> StampVersions(
+    const query::Table& table, const ServiceRequest& request) {
+  std::vector<std::string> columns;
+  CollectColumns(*request.predicate, &columns);
+  std::vector<ColumnVersion> versions;
+  for (const std::string& column : columns) {
+    DBA_ASSIGN_OR_RETURN(const uint64_t version, table.ColumnVersion(column));
+    versions.push_back(ColumnVersion{request.table, column, version});
+  }
+  return versions;
 }
 
 }  // namespace
@@ -228,9 +254,8 @@ Status QueryService::UpdateColumn(const std::string& table,
     DBA_RETURN_IF_ERROR(entry->table->UpdateColumn(column, std::move(values)));
   }
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  const CacheStats before = cache_.stats();
   cache_.InvalidateColumn(table, column);
-  MirrorCacheDelta(before, cache_.stats());
+  PublishCacheLocked();
   return Status::Ok();
 }
 
@@ -239,8 +264,7 @@ std::future<ServiceResponse> QueryService::Submit(ServiceRequest request) {
   Job job;
   job.request = std::move(request);
   std::future<ServiceResponse> future = job.promise.get_future();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  ins.submitted->Increment();
+  Record(ServiceEvent::kSubmitted);
   if (job.request.predicate == nullptr) {
     // Direct operands are checked once, here: the kernels downstream
     // trust their input order.
@@ -290,9 +314,7 @@ std::future<ServiceResponse> QueryService::Submit(ServiceRequest request) {
                        .first;
         }
         if (!bucket->second.TryAcquire(job.enqueue_ns)) {
-          rate_limited_.fetch_add(1, std::memory_order_relaxed);
-          ins.shed_reason[static_cast<size_t>(ShedReason::kRateLimited)]
-              ->Increment();
+          Record(ServiceEvent::kRateLimited);
           ServiceResponse response;
           response.status = Status::RateLimited(
               "tenant '" + job.request.tenant +
@@ -305,10 +327,7 @@ std::future<ServiceResponse> QueryService::Submit(ServiceRequest request) {
     const Status admitted = queue_.Push(priority, std::move(job));
     if (!admitted.ok()) {
       // Push leaves the job untouched on overflow: shed explicitly.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      ins.rejected->Increment();
-      ins.shed_reason[static_cast<size_t>(ShedReason::kQueueFull)]
-          ->Increment();
+      Record(ServiceEvent::kRejected);
       ServiceResponse response;
       response.status = admitted;
       job.promise.set_value(std::move(response));
@@ -350,18 +369,10 @@ size_t QueryService::queue_depth() const {
 
 ServiceCounters QueryService::counters() const {
   ServiceCounters out;
-  out.submitted = submitted_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.shed = shed_.load(std::memory_order_relaxed);
-  out.dispatched = dispatched_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.deduplicated = deduplicated_.load(std::memory_order_relaxed);
-  out.retries = retries_.load(std::memory_order_relaxed);
-  out.rate_limited = rate_limited_.load(std::memory_order_relaxed);
-  out.breaker_sheds = breaker_sheds_.load(std::memory_order_relaxed);
-  out.degraded = degraded_.load(std::memory_order_relaxed);
-  out.breaker_transitions =
-      breaker_transitions_.load(std::memory_order_relaxed);
+  for (size_t e = 0; e < kNumServiceEvents; ++e) {
+    out.*kEventCounters[e].field = tally_[e].load(std::memory_order_relaxed);
+  }
+  out.breaker_transitions = breaker_->transitions();
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
   const CacheStats& stats = cache_.stats();
   out.cache_hits = stats.hits;
@@ -369,6 +380,24 @@ ServiceCounters QueryService::counters() const {
   out.cache_evictions = stats.evictions;
   out.cache_invalidations = stats.invalidations;
   return out;
+}
+
+uint64_t QueryService::Record(ServiceEvent event, uint64_t n) {
+  const size_t e = static_cast<size_t>(event);
+  for (obs::Counter* counter : Instruments().events[e]) {
+    if (counter != nullptr) counter->Increment(n);
+  }
+  return tally_[e].fetch_add(n, std::memory_order_relaxed) + n;
+}
+
+void QueryService::PublishCacheLocked() {
+  const CacheStats& stats = cache_.stats();
+  for (size_t i = 0; i < std::size(kCacheCounters); ++i) {
+    const uint64_t CacheStats::*stat = kCacheCounters[i].stat;
+    const uint64_t delta = stats.*stat - published_cache_.*stat;
+    if (delta != 0) Instruments().cache[i]->Increment(delta);
+  }
+  published_cache_ = stats;
 }
 
 std::vector<std::string> QueryService::CacheKeysMruToLru() const {
@@ -403,21 +432,6 @@ void QueryService::SetDegradedRouting(bool degraded) {
     } else {
       entry.engine->DisableAdaptivePlanner();
     }
-  }
-}
-
-void QueryService::MirrorBreaker(uint64_t now_ns) {
-  const ServiceInstruments& ins = Instruments();
-  const BreakerState state = breaker_->StateAt(now_ns);
-  breaker_state_.store(static_cast<uint8_t>(state),
-                       std::memory_order_relaxed);
-  ins.breaker_state->Set(static_cast<double>(state));
-  const uint64_t transitions = breaker_->transitions();
-  if (transitions > mirrored_transitions_) {
-    const uint64_t delta = transitions - mirrored_transitions_;
-    mirrored_transitions_ = transitions;
-    breaker_transitions_.fetch_add(delta, std::memory_order_relaxed);
-    ins.breaker_transitions->Increment(delta);
   }
 }
 
@@ -472,10 +486,9 @@ void QueryService::SchedulerLoop() {
 void QueryService::ExecuteBatch(std::vector<Job> batch) {
   const ServiceInstruments& ins = Instruments();
   const uint64_t start_ns = clock_->NowNs();
+  const uint64_t transitions_before = breaker_->transitions();
   const uint32_t batch_size = static_cast<uint32_t>(batch.size());
-  const uint64_t batch_ordinal =
-      batches_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ins.batches->Increment();
+  const uint64_t batch_ordinal = Record(ServiceEvent::kBatches);
   ins.batch_size->Observe(batch_size);
   if (config_.trace_sink != nullptr) {
     config_.trace_sink->BeginRegion(
@@ -491,13 +504,13 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
     std::string key;   // predicate cache key ("" for direct ops)
     bool ready = false;
     Status status = Status::Internal("not executed");
-    std::vector<uint32_t> values;
+    std::vector<uint32_t> values{};
     bool cache_hit = false;
     bool degraded = false;
     uint32_t retries = 0;
     uint64_t cycles = 0;
     TableEntry* entry = nullptr;
-    std::vector<ColumnVersion> versions;  // stamped at execution
+    std::vector<ColumnVersion> versions{};  // stamped at execution
   };
   std::vector<Unique> uniques;
   std::vector<int> unique_of(batch.size(), -1);  // -1 = shed
@@ -506,50 +519,32 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
   for (size_t i = 0; i < batch.size(); ++i) {
     const ServiceRequest& request = batch[i].request;
     if (request.deadline_ns != 0 && start_ns > request.deadline_ns) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      ins.shed_reason[static_cast<size_t>(ShedReason::kDeadline)]
-          ->Increment();
+      Record(ServiceEvent::kShed);
       continue;
     }
+    const bool is_predicate = request.predicate != nullptr;
+    std::string key =
+        is_predicate
+            ? "q|" + request.table + "|" + request.predicate->ToString()
+            : std::string();
     int found = -1;
-    if (request.predicate != nullptr) {
-      std::string key =
-          "q|" + request.table + "|" + request.predicate->ToString();
-      for (size_t u = 0; u < uniques.size(); ++u) {
-        if (uniques[u].is_predicate && uniques[u].key == key) {
-          found = static_cast<int>(u);
-          break;
-        }
+    for (size_t u = 0; u < uniques.size() && found < 0; ++u) {
+      const ServiceRequest& other = batch[uniques[u].owner].request;
+      if (uniques[u].is_predicate != is_predicate) continue;
+      if (is_predicate ? uniques[u].key == key
+                       : other.op == request.op && other.a == request.a &&
+                             other.b == request.b) {
+        found = static_cast<int>(u);
       }
-      if (found < 0) {
-        Unique unique;
-        unique.owner = i;
-        unique.is_predicate = true;
-        unique.key = std::move(key);
-        found = static_cast<int>(uniques.size());
-        uniques.push_back(std::move(unique));
-      }
-    } else {
-      for (size_t u = 0; u < uniques.size(); ++u) {
-        if (uniques[u].is_predicate) continue;
-        const ServiceRequest& other = batch[uniques[u].owner].request;
-        if (other.op == request.op && other.a == request.a &&
-            other.b == request.b) {
-          found = static_cast<int>(u);
-          break;
-        }
-      }
-      if (found < 0) {
-        Unique unique;
-        unique.owner = i;
-        found = static_cast<int>(uniques.size());
-        uniques.push_back(std::move(unique));
-      }
+    }
+    if (found < 0) {
+      found = static_cast<int>(uniques.size());
+      uniques.push_back(
+          {.owner = i, .is_predicate = is_predicate, .key = std::move(key)});
     }
     unique_of[i] = found;
     if (uniques[static_cast<size_t>(found)].owner != i) {
-      deduplicated_.fetch_add(1, std::memory_order_relaxed);
-      ins.deduplicated->Increment();
+      Record(ServiceEvent::kDeduplicated);
     }
   }
 
@@ -574,37 +569,25 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
   // against concurrent UpdateColumn invalidation and inspection).
   for (Unique& unique : uniques) {
     if (!unique.is_predicate || unique.ready) continue;
-    const ServiceRequest& request = batch[unique.owner].request;
-    std::vector<std::string> columns;
-    CollectColumns(*request.predicate, &columns);
-    std::vector<ColumnVersion> current;
-    bool versions_ok = true;
-    {
+    Result<std::vector<ColumnVersion>> current = [&] {
       std::shared_lock<std::shared_mutex> table_lock(*unique.entry->mu);
-      for (const std::string& column : columns) {
-        Result<uint64_t> version = unique.entry->table->ColumnVersion(column);
-        if (!version.ok()) {
-          versions_ok = false;  // execution reports the real error
-          break;
-        }
-        current.push_back(ColumnVersion{request.table, column, *version});
-      }
-    }
-    if (!versions_ok) continue;
+      return StampVersions(*unique.entry->table, batch[unique.owner].request);
+    }();
+    if (!current.ok()) continue;  // execution reports the real error
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    const CacheStats before = cache_.stats();
-    if (cache_.Lookup(unique.key, current, &unique.values)) {
+    if (cache_.Lookup(unique.key, *current, &unique.values)) {
       unique.cache_hit = true;
       unique.status = Status::Ok();
       unique.ready = true;
     }
-    MirrorCacheDelta(before, cache_.stats());
   }
 
   // Direct set operations: one multi-request board batch, governed by
   // the circuit breaker, a shared deadline budget, and the service's
-  // deadline-aware retry policy.
-  uint64_t batch_retries = 0;
+  // deadline-aware retry policy. The batch's retries (service re-submits
+  // plus the board's recovery retries) are reported on every direct
+  // response, like the batch makespan.
+  uint64_t direct_retries = 0;
   std::vector<size_t> direct;
   for (size_t u = 0; u < uniques.size(); ++u) {
     if (!uniques[u].is_predicate && !uniques[u].ready) direct.push_back(u);
@@ -612,15 +595,17 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
   if (!direct.empty()) {
     const int n_cores = config_.board->num_cores();
 
-    // The batch's wall deadline: the largest remaining deadline among
-    // the direct riders (a rider with no deadline leaves the batch
-    // unbounded -- never cut work short that someone still wants).
+    // The direct riders and the batch's wall deadline: the largest
+    // remaining deadline among them (a rider with no deadline leaves the
+    // batch unbounded -- never cut work short that someone still wants).
+    uint64_t riders = 0;
     uint64_t batch_deadline_ns = 0;
     bool unbounded = false;
     for (size_t i = 0; i < batch.size(); ++i) {
       if (unique_of[i] < 0) continue;
       const Unique& unique = uniques[static_cast<size_t>(unique_of[i])];
       if (unique.is_predicate || unique.ready) continue;
+      ++riders;
       const uint64_t deadline = batch[i].request.deadline_ns;
       if (deadline == 0) {
         unbounded = true;
@@ -664,12 +649,6 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       }
     }
 
-    const auto transient = [](StatusCode code) {
-      return code == StatusCode::kUnavailable ||
-             code == StatusCode::kDeadlineExceeded ||
-             code == StatusCode::kDataLoss;
-    };
-
     Result<system::Board::BatchRun> run =
         Status::Unavailable("circuit breaker open");
     if (use_board) {
@@ -686,7 +665,7 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
           break;
         }
         breaker_->OnBoardResult(false, nullptr, n_cores, start_ns);
-        if (!transient(run.status().code())) break;
+        if (!IsTransient(run.status().code())) break;
         if (config_.breaker.enabled &&
             breaker_->StateAt(start_ns) == BreakerState::kOpen) {
           break;  // tripped mid-ladder: fall through to degraded mode
@@ -695,12 +674,12 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
             budget.NextDelayNs(start_ns + modeled_delay_ns);
         if (!delay.has_value()) break;
         modeled_delay_ns += *delay;
-        ++batch_retries;
+        ++direct_retries;
       }
     }
 
     if (run.ok()) {
-      batch_retries += run->run.recovery.retries;
+      direct_retries += run->run.recovery.retries;
       for (size_t k = 0; k < direct.size(); ++k) {
         Unique& unique = uniques[direct[k]];
         unique.values = std::move(run->results[k]);
@@ -732,15 +711,7 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       }
     } else if (!use_board) {
       // Breaker open, fallback disabled: a typed per-request shed.
-      uint32_t riders = 0;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (unique_of[i] < 0) continue;
-        const Unique& unique = uniques[static_cast<size_t>(unique_of[i])];
-        if (!unique.is_predicate && !unique.ready) ++riders;
-      }
-      breaker_sheds_.fetch_add(riders, std::memory_order_relaxed);
-      ins.shed_reason[static_cast<size_t>(ShedReason::kBreakerOpen)]
-          ->Increment(riders);
+      Record(ServiceEvent::kBreakerSheds, riders);
       for (const size_t u : direct) {
         uniques[u].status = Status::Unavailable(
             "circuit breaker open and host fallback disabled");
@@ -751,6 +722,9 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
         uniques[u].status = run.status();
         uniques[u].ready = true;
       }
+    }
+    for (const size_t u : direct) {
+      uniques[u].retries = static_cast<uint32_t>(direct_retries);
     }
   }
 
@@ -765,18 +739,14 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
   // Predicate queries: engines grouped by their pinned board core (one
   // thread per core; a core's tables run back to back), fanned out over
   // the board's host pool when available.
-  std::map<int, std::vector<size_t>> by_core;
+  std::vector<std::vector<size_t>> groups(
+      static_cast<size_t>(config_.board->num_cores()));
   for (size_t u = 0; u < uniques.size(); ++u) {
     if (uniques[u].is_predicate && !uniques[u].ready) {
-      by_core[uniques[u].entry->core].push_back(u);
+      groups[static_cast<size_t>(uniques[u].entry->core)].push_back(u);
     }
   }
-  std::vector<std::vector<size_t>> groups;
-  groups.reserve(by_core.size());
-  for (auto& [core, members] : by_core) {
-    (void)core;
-    groups.push_back(std::move(members));
-  }
+  std::erase_if(groups, [](const auto& group) { return group.empty(); });
   const auto run_group = [&](size_t gi) {
     for (const size_t uidx : groups[gi]) {
       Unique& unique = uniques[uidx];
@@ -785,30 +755,21 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       // Stamp versions under the same shared lock that covers the
       // execution: UpdateColumn's unique lock cannot interleave, so
       // the stamps and the computed values are mutually consistent.
-      std::vector<std::string> columns;
-      CollectColumns(*request.predicate, &columns);
-      bool versions_ok = true;
-      for (const std::string& column : columns) {
-        Result<uint64_t> version = unique.entry->table->ColumnVersion(column);
-        if (!version.ok()) {
-          unique.status = version.status();
-          versions_ok = false;
-          break;
-        }
-        unique.versions.push_back(
-            ColumnVersion{request.table, column, *version});
-      }
-      if (!versions_ok) {
+      Result<std::vector<ColumnVersion>> versions =
+          StampVersions(*unique.entry->table, request);
+      if (!versions.ok()) {
+        unique.status = versions.status();
         unique.ready = true;
         continue;
       }
+      unique.versions = *std::move(versions);
       query::QueryStats stats;
       Result<std::vector<query::Rid>> result =
           unique.entry->engine->Select(*request.predicate, &stats);
+      unique.retries = stats.retries;
       if (result.ok()) {
         unique.values = std::move(*result);
         unique.status = Status::Ok();
-        unique.retries = stats.retries;
         unique.cycles = stats.accelerator_cycles;
         // Freshly executed under forced host routing: the values are
         // bit-identical, but the venue was degraded. (Cache hits keep
@@ -830,22 +791,19 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
   // Fresh predicate results enter the cache with their version stamps.
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    const CacheStats before = cache_.stats();
     for (Unique& unique : uniques) {
       if (unique.is_predicate && unique.status.ok() && !unique.cache_hit) {
         cache_.Insert(unique.key, unique.values, unique.versions);
       }
     }
-    MirrorCacheDelta(before, cache_.stats());
+    PublishCacheLocked();
   }
 
+  uint64_t retries = direct_retries;
   for (const Unique& unique : uniques) {
-    batch_retries += unique.retries;
+    if (unique.is_predicate) retries += unique.retries;
   }
-  if (batch_retries > 0) {
-    retries_.fetch_add(batch_retries, std::memory_order_relaxed);
-    ins.retries->Increment(batch_retries);
-  }
+  if (retries > 0) Record(ServiceEvent::kRetries, retries);
 
   // Fulfill every promise (shed requests included) exactly once.
   const uint64_t done_ns = clock_->NowNs();
@@ -865,17 +823,20 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
       response.retries = unique.retries;
       response.accelerator_cycles = unique.cycles;
       response.degraded = unique.degraded;
-      if (unique.degraded) {
-        degraded_.fetch_add(1, std::memory_order_relaxed);
-        ins.degraded->Increment();
-      }
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      ins.dispatched->Increment();
+      if (unique.degraded) Record(ServiceEvent::kDegraded);
+      Record(ServiceEvent::kDispatched);
     }
     ins.latency_ns->Observe(done_ns - batch[i].enqueue_ns);
     batch[i].promise.set_value(std::move(response));
   }
-  MirrorBreaker(done_ns);
+  // The breaker is published from its own state: its state as of now and
+  // the transitions this batch made.
+  const BreakerState state = breaker_->StateAt(done_ns);
+  breaker_state_.store(static_cast<uint8_t>(state),
+                       std::memory_order_relaxed);
+  ins.breaker_state->Set(static_cast<double>(state));
+  const uint64_t transitions = breaker_->transitions() - transitions_before;
+  if (transitions != 0) ins.breaker_transitions->Increment(transitions);
   if (config_.trace_sink != nullptr) {
     config_.trace_sink->EndRegion(done_ns);
   }

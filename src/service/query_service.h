@@ -1,6 +1,7 @@
 #ifndef DBA_SERVICE_QUERY_SERVICE_H_
 #define DBA_SERVICE_QUERY_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -115,8 +116,9 @@ struct ServiceResponse {
   bool degraded = false;
 };
 
-/// Monotonic service counters (mirrored as dba_service_* instruments in
-/// the global obs::MetricsRegistry).
+/// Monotonic service counters, each counted once (the ServiceEvent
+/// tally, CacheStats or the breaker) and published from there to its
+/// dba_service_* instrument in the global obs::MetricsRegistry.
 struct ServiceCounters {
   uint64_t submitted = 0;
   uint64_t rejected = 0;    // admission overflow
@@ -136,6 +138,14 @@ struct ServiceCounters {
   uint64_t degraded = 0;            // responses served by host fallback
   uint64_t breaker_transitions = 0; // breaker state changes
 };
+
+/// The events the service counts itself; one index into both the
+/// per-instance tally and the dba_service_* instrument table.
+enum class ServiceEvent : uint8_t {
+  kSubmitted, kRejected, kShed, kDispatched, kBatches,
+  kDeduplicated, kRetries, kRateLimited, kBreakerSheds, kDegraded,
+};
+inline constexpr size_t kNumServiceEvents = 10;
 
 /// Async multi-tenant frontend over a system::Board: requests are
 /// admitted into a bounded priority queue (load-shedding, never silent
@@ -223,9 +233,11 @@ class QueryService {
   /// intersect route on every registered engine) to match the breaker
   /// state. Scheduler thread (or RegisterTable) only; takes tables_mu_.
   void SetDegradedRouting(bool degraded);
-  /// Mirrors breaker state/transition deltas into the atomics and
-  /// global instruments after a dispatch batch (scheduler thread).
-  void MirrorBreaker(uint64_t now_ns);
+  /// Counts `n` occurrences of `event` in this service's tally and its
+  /// instruments; returns the new tally.
+  uint64_t Record(ServiceEvent event, uint64_t n = 1);
+  /// Publishes the cache's stats since the last call (cache_mu_ held).
+  void PublishCacheLocked();
 
   ServiceConfig config_;
   std::unique_ptr<SystemClock> owned_clock_;  // when config_.clock == null
@@ -251,23 +263,13 @@ class QueryService {
   /// Board-health breaker (scheduler thread only; see breaker_state_
   /// for the cross-thread mirror).
   std::unique_ptr<CircuitBreaker> breaker_;
-  uint64_t mirrored_transitions_ = 0;  // scheduler thread only
 
   mutable std::mutex cache_mu_;
   ResultCache cache_;
+  CacheStats published_cache_;  // guarded by cache_mu_
 
   uint64_t dispatch_seq_ = 0;  // scheduler thread only
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> dispatched_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> deduplicated_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> rate_limited_{0};
-  std::atomic<uint64_t> breaker_sheds_{0};
-  std::atomic<uint64_t> degraded_{0};
-  std::atomic<uint64_t> breaker_transitions_{0};
+  std::array<std::atomic<uint64_t>, kNumServiceEvents> tally_{};
   std::atomic<uint8_t> breaker_state_{0};  // BreakerState mirror
 
   std::thread scheduler_;

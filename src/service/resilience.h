@@ -1,6 +1,7 @@
 #ifndef DBA_SERVICE_RESILIENCE_H_
 #define DBA_SERVICE_RESILIENCE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -162,7 +163,8 @@ struct BreakerConfig {
 /// fed by operation outcomes and RecoveryTelemetry (quarantine count,
 /// retry rate, round failures). All timing comes from caller-supplied
 /// service-clock timestamps, so transitions are deterministic under a
-/// VirtualClock. Not thread-safe: the scheduler thread owns it.
+/// VirtualClock. Not thread-safe: the scheduler thread owns it (only
+/// transitions() may be read from any thread).
 class CircuitBreaker {
  public:
   explicit CircuitBreaker(const BreakerConfig& config);
@@ -200,7 +202,7 @@ class CircuitBreaker {
   uint64_t opened_at_ns_ = 0;
   int probes_granted_ = 0;
   int probe_successes_ = 0;
-  uint64_t transitions_ = 0;
+  std::atomic<uint64_t> transitions_{0};
 };
 
 // ---------------------------------------------------------------------------

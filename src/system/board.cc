@@ -1,6 +1,7 @@
 #include "system/board.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -13,22 +14,49 @@ namespace dba::system {
 
 namespace {
 
-// All board counters mirror RecoveryTelemetry increments from the
-// single-threaded deterministic reduce in ExecutePartitioned, so after a
-// run on a fresh registry the registry totals equal the run's telemetry
-// exactly, at any host_threads.  Only the NoC fault counters are bumped
-// from worker threads (RunAttempt); their totals are still deterministic
+// The RecoveryTelemetry fields the registry exports, one row each, read
+// by registration and by PublishRecovery, the only place they move: on
+// every exit of ExecutePartitioned, so a fresh registry equals the run's
+// telemetry exactly, at any host_threads.
+template <auto Field>
+uint64_t Count(const RecoveryTelemetry& telemetry) {
+  return telemetry.*Field;
+}
+
+struct RecoveryCounter {
+  uint64_t (*count)(const RecoveryTelemetry&);
+  const char* name;
+  const char* help;
+};
+
+constexpr RecoveryCounter kRecoveryCounters[] = {
+    {Count<&RecoveryTelemetry::rounds>, "dba_system_recovery_rounds_total",
+     "Scheduling rounds (1 per op when fault-free)."},
+    {Count<&RecoveryTelemetry::faults_injected>,
+     "dba_system_faults_injected_total",
+     "Attempts that had a fault injected (mirrors RecoveryTelemetry)."},
+    {Count<&RecoveryTelemetry::verification_failures>,
+     "dba_system_verification_failures_total",
+     "Partition results rejected by output verification."},
+    {Count<&RecoveryTelemetry::failed_attempts>,
+     "dba_system_failed_attempts_total",
+     "Partition attempts that returned an error."},
+    {Count<&RecoveryTelemetry::retries>, "dba_system_retries_total",
+     "Partition retry attempts scheduled."},
+    {Count<&RecoveryTelemetry::requeues>, "dba_system_requeues_total",
+     "Partitions moved to a different core (spill or retry)."},
+    {Count<&RecoveryTelemetry::recovery_cycles>,
+     "dba_system_recovery_cycles_total",
+     "Simulated cycles spent on failed attempts and backoff."},
+};
+
+// Counters no struct carries are recorded where they happen; the NoC
+// fault counters from worker threads (RunAttempt), still deterministic
 // because fault decisions are pure functions of the work item.
 struct BoardInstruments {
   obs::Counter* ops;
   obs::Counter* op_failures;
-  obs::Counter* rounds;
-  obs::Counter* faults_injected;
-  obs::Counter* verification_failures;
-  obs::Counter* failed_attempts;
-  obs::Counter* retries;
-  obs::Counter* requeues;
-  obs::Counter* recovery_cycles;
+  std::array<obs::Counter*, std::size(kRecoveryCounters)> recovery;
   obs::Counter* quarantines;
   obs::Counter* noc_feed_bytes;
   obs::Counter* noc_transfer_failures;
@@ -48,26 +76,10 @@ const BoardInstruments& Instruments() {
     out.op_failures =
         registry.GetCounter("dba_system_board_op_failures_total",
                             "Board-level operations that returned an error.");
-    out.rounds = registry.GetCounter(
-        "dba_system_recovery_rounds_total",
-        "Scheduling rounds (1 per op when fault-free).");
-    out.faults_injected = registry.GetCounter(
-        "dba_system_faults_injected_total",
-        "Attempts that had a fault injected (mirrors RecoveryTelemetry).");
-    out.verification_failures = registry.GetCounter(
-        "dba_system_verification_failures_total",
-        "Partition results rejected by output verification.");
-    out.failed_attempts =
-        registry.GetCounter("dba_system_failed_attempts_total",
-                            "Partition attempts that returned an error.");
-    out.retries = registry.GetCounter("dba_system_retries_total",
-                                      "Partition retry attempts scheduled.");
-    out.requeues = registry.GetCounter(
-        "dba_system_requeues_total",
-        "Partitions moved to a different core (spill or retry).");
-    out.recovery_cycles = registry.GetCounter(
-        "dba_system_recovery_cycles_total",
-        "Simulated cycles spent on failed attempts and backoff.");
+    for (size_t i = 0; i < std::size(kRecoveryCounters); ++i) {
+      out.recovery[i] = registry.GetCounter(kRecoveryCounters[i].name,
+                                            kRecoveryCounters[i].help);
+    }
     out.quarantines = registry.GetCounter(
         "dba_system_quarantines_total", "Cores quarantined by the board.");
     out.noc_feed_bytes = registry.GetCounter(
@@ -92,6 +104,14 @@ const BoardInstruments& Instruments() {
     return out;
   }();
   return instruments;
+}
+
+void PublishRecovery(const RecoveryTelemetry& telemetry) {
+  const BoardInstruments& instruments = Instruments();
+  for (size_t i = 0; i < std::size(kRecoveryCounters); ++i) {
+    const uint64_t count = kRecoveryCounters[i].count(telemetry);
+    if (count != 0) instruments.recovery[i]->Increment(count);
+  }
 }
 
 }  // namespace
@@ -562,14 +582,24 @@ Result<ParallelRun> Board::ExecutePartitioned(
     } else {
       pending.emplace_back(i, healthy[spill++ % healthy.size()]);
       ++run.recovery.requeues;
-      instruments.requeues->Increment();
     }
   }
+
+  // A failed exit logs why, counts the failure and, like the successful
+  // exit, publishes what the run counted.
+  const auto fail = [&](Status status, obs::EventLevel level,
+                        std::string_view event,
+                        std::vector<std::pair<std::string, std::string>>
+                            fields) {
+    obs::EventLog::Global().Log(level, "board", event, std::move(fields));
+    instruments.op_failures->Increment();
+    PublishRecovery(run.recovery);
+    return status;
+  };
 
   uint64_t trace_cursor = 0;
   while (!pending.empty()) {
     ++run.recovery.rounds;
-    instruments.rounds->Increment();
     const int streams = static_cast<int>(pending.size());
 
     // Fan this round out with one host task per core (a core is never
@@ -615,14 +645,8 @@ Result<ParallelRun> Board::ExecutePartitioned(
       AttemptOutcome& out = outcomes[p];
       const uint32_t attempt = slots[p].attempts;
       ++slots[p].attempts;
-      if (out.fault_injected) {
-        ++run.recovery.faults_injected;
-        instruments.faults_injected->Increment();
-      }
-      if (out.verification_failed) {
-        ++run.recovery.verification_failures;
-        instruments.verification_failures->Increment();
-      }
+      if (out.fault_injected) ++run.recovery.faults_injected;
+      if (out.verification_failed) ++run.recovery.verification_failures;
       uint64_t cost = 0;
       if (out.status.ok()) {
         const uint64_t feed_cycles = noc_.TransferCycles(
@@ -647,9 +671,7 @@ Result<ParallelRun> Board::ExecutePartitioned(
         slots[p].result = std::move(out.result);
       } else {
         ++run.recovery.failed_attempts;
-        instruments.failed_attempts->Increment();
         run.recovery.recovery_cycles += cost;
-        instruments.recovery_cycles->Increment(cost);
         ++core_failures_[static_cast<size_t>(c)];
         slots[p].last_status = out.status;
         failed.emplace_back(p, c);
@@ -707,19 +729,17 @@ Result<ParallelRun> Board::ExecutePartitioned(
     // runs when retries are pending.)
     if (deadline_cycles > 0 && run.makespan_cycles >= deadline_cycles) {
       const size_t p = failed.front().first;
-      instruments.op_failures->Increment();
-      obs::EventLog::Global().Log(
-          obs::EventLevel::kWarn, "board",
-          "recovery deadline budget exhausted",
+      return fail(
+          Status::DeadlineExceeded(
+              "recovery deadline budget (" + std::to_string(deadline_cycles) +
+              " cycles) exhausted after " +
+              std::to_string(run.recovery.rounds) + " rounds; partition " +
+              std::to_string(p) +
+              " last error: " + slots[p].last_status.message()),
+          obs::EventLevel::kWarn, "recovery deadline budget exhausted",
           {{"rounds", std::to_string(run.recovery.rounds)},
            {"budget_cycles", std::to_string(deadline_cycles)},
            {"partition", std::to_string(p)}});
-      return Status::DeadlineExceeded(
-          "recovery deadline budget (" + std::to_string(deadline_cycles) +
-          " cycles) exhausted after " +
-          std::to_string(run.recovery.rounds) + " rounds; partition " +
-          std::to_string(p) +
-          " last error: " + slots[p].last_status.message());
     }
 
     // A partition out of attempts fails the operation with its last
@@ -728,32 +748,26 @@ Result<ParallelRun> Board::ExecutePartitioned(
       (void)c;
       if (slots[p].attempts >=
           static_cast<uint32_t>(config_.recovery.max_attempts)) {
-        std::string context = "partition ";
-        context += std::to_string(p);
-        context += " failed after ";
-        context += std::to_string(slots[p].attempts);
-        context += " attempts";
-        instruments.op_failures->Increment();
-        obs::EventLog::Global().Log(
-            obs::EventLevel::kError, "board", "operation failed",
+        return fail(
+            Annotate(slots[p].last_status,
+                     "partition " + std::to_string(p) + " failed after " +
+                         std::to_string(slots[p].attempts) + " attempts"),
+            obs::EventLevel::kError, "operation failed",
             {{"partition", std::to_string(p)},
              {"attempts", std::to_string(slots[p].attempts)},
              {"status", std::string(StatusCodeToString(
                             slots[p].last_status.code()))}});
-        return Annotate(slots[p].last_status, context);
       }
     }
     refresh_healthy();
     if (healthy.empty()) {
       const size_t p = failed.front().first;
-      std::string context = "all cores quarantined while retrying partition ";
-      context += std::to_string(p);
-      instruments.op_failures->Increment();
-      obs::EventLog::Global().Log(
-          obs::EventLevel::kError, "board",
-          "all cores quarantined mid-operation",
-          {{"partition", std::to_string(p)}});
-      return Annotate(slots[p].last_status, context);
+      return fail(Annotate(slots[p].last_status,
+                           "all cores quarantined while retrying partition " +
+                               std::to_string(p)),
+                  obs::EventLevel::kError,
+                  "all cores quarantined mid-operation",
+                  {{"partition", std::to_string(p)}});
     }
     // Requeue failed partitions round-robin over the healthy cores,
     // most reliable first.
@@ -761,17 +775,14 @@ Result<ParallelRun> Board::ExecutePartitioned(
     for (const auto& [p, prev_core] : failed) {
       const int c = healthy[next++ % healthy.size()];
       ++run.recovery.retries;
-      instruments.retries->Increment();
-      if (c != prev_core) {
-        ++run.recovery.requeues;
-        instruments.requeues->Increment();
-      }
+      if (c != prev_core) ++run.recovery.requeues;
       pending.emplace_back(p, c);
     }
   }
 
   run.recovery.degraded = !quarantined_list_.empty();
   run.recovery.quarantined_cores = quarantined_list_;
+  PublishRecovery(run.recovery);
   instruments.op_makespan_cycles->Observe(run.makespan_cycles);
   instruments.healthy_cores->Set(
       static_cast<double>(cores_.size() - quarantined_list_.size()));

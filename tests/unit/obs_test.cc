@@ -515,6 +515,28 @@ TEST(BenchCompareTest, RealRegressionsStillFailInTolerantMode) {
   EXPECT_EQ(comparison->regressions, 1);
 }
 
+TEST(BenchCompareTest, MeasuredRouteNamesAreNotRowIdentity) {
+  // intersect_adaptive's planner rows name the calibrated `chosen` and
+  // host-measured `best_measured` routes; a flip between runs is the
+  // same row, still compared, never a missing one.
+  auto baseline = CompareDoc(
+      "{\"config\":\"PLANNER\",\"route\":\"planner\",\"skew\":\"1:4\","
+      "\"chosen\":\"simd_merge\",\"best_measured\":\"simd_merge\","
+      "\"speedup_vs_eis\":2.0}");
+  auto run = CompareDoc(
+      "{\"config\":\"PLANNER\",\"route\":\"planner\",\"skew\":\"1:4\","
+      "\"chosen\":\"eis_merge\",\"best_measured\":\"simd_merge\","
+      "\"speedup_vs_eis\":0.5}");
+  ASSERT_TRUE(baseline.ok() && run.ok());
+  BenchCompareOptions options;
+  options.metrics = {"speedup_vs_eis"};
+  auto comparison = CompareBenchDocuments(*run, *baseline, options);
+  ASSERT_TRUE(comparison.ok());
+  EXPECT_TRUE(comparison->missing_rows.empty());
+  ASSERT_EQ(comparison->deltas.size(), 1u);
+  EXPECT_EQ(comparison->regressions, 1);
+}
+
 TEST(BenchCompareTest, UnknownRunOnlyMetricsAreIgnored) {
   // Extra columns in the run that the baseline does not track are fine.
   auto baseline = CompareDoc(

@@ -404,19 +404,55 @@ TEST_F(PlannerEngineTest, MetricsRouteCountersMatchQueryStats) {
     }
     return counts;
   };
+  // The unlabelled QueryStats counters, in this order: set_operations,
+  // sorts, retries, partition_index_builds.
+  const std::array<std::string, 4> kCounterNames = {
+      "dba_query_setops_total", "dba_query_sorts_total",
+      "dba_query_retries_total", "dba_query_partition_index_builds_total"};
+  auto snapshot_counters = [&] {
+    std::array<uint64_t, 4> counts{};
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Global().Snapshot();
+    for (size_t i = 0; i < kCounterNames.size(); ++i) {
+      auto it = snapshot.counters.find(kCounterNames[i]);
+      counts[i] = it == snapshot.counters.end() ? 0 : it->second;
+    }
+    return counts;
+  };
 
   auto engine = MakeEngine();
   engine->EnableAdaptivePlanner(TestPlannerOptions());
+  // Fail the first attempt of every step so retries are counted too.
+  engine->SetMaxAttempts(2);
+  engine->SetAttemptFaultHook([](std::string_view, int attempt) {
+    return attempt == 0 ? Status::Unavailable("injected") : Status::Ok();
+  });
   const auto before = snapshot_routes();
+  const auto counters_before = snapshot_counters();
   QueryStats stats;
-  for (const PredicatePtr& predicate : TestPredicates()) {
-    ASSERT_TRUE(engine->Select(*predicate, &stats).ok());
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    for (const PredicatePtr& predicate : TestPredicates()) {
+      ASSERT_TRUE(engine->Select(*predicate, &stats).ok());
+    }
   }
+  ASSERT_TRUE(
+      engine->SelectValuesOrdered(*TestPredicates()[0], "amount", &stats)
+          .ok());
   const auto after = snapshot_routes();
+  const auto counters_after = snapshot_counters();
   for (size_t r = 0; r < kNumRoutes; ++r) {
     EXPECT_EQ(after[r] - before[r], stats.route_counts[r])
         << RouteName(static_cast<Route>(r));
   }
+  const std::array<uint32_t, 4> expected = {
+      stats.set_operations, stats.sorts, stats.retries,
+      stats.partition_index_builds};
+  for (size_t i = 0; i < kCounterNames.size(); ++i) {
+    EXPECT_EQ(counters_after[i] - counters_before[i], expected[i])
+        << kCounterNames[i];
+  }
+  EXPECT_GT(stats.sorts, 0u);
+  EXPECT_GT(stats.retries, 0u);
 }
 
 TEST_F(PlannerEngineTest, PlannedJoinKeysMatchesAlwaysEis) {

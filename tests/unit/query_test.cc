@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/random.h"
+#include "obs/metrics/metrics.h"
 #include "query/engine.h"
 #include "query/planner.h"
 #include "query/index.h"
@@ -425,6 +426,23 @@ TEST_F(QueryEngineTest, RetryAccountingIsRouteIndependent) {
     engine.SetMaxAttempts(1);
     auto failed = engine.Select(*predicate);
     EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable)
+        << RouteName(route);
+
+    // A step that never succeeds still charges its re-executions, to
+    // QueryStats and to the registry alike.
+    engine.SetMaxAttempts(3);
+    engine.SetAttemptFaultHook([](std::string_view, int) {
+      return Status::Unavailable("injected");
+    });
+    obs::Counter* retries_total =
+        obs::MetricsRegistry::Global().GetCounter("dba_query_retries_total");
+    const uint64_t retries_before = retries_total->Value();
+    QueryStats exhausted_stats;
+    auto exhausted = engine.Select(*predicate, &exhausted_stats);
+    EXPECT_EQ(exhausted.status().code(), StatusCode::kUnavailable)
+        << RouteName(route);
+    EXPECT_EQ(exhausted_stats.retries, 2u) << RouteName(route);
+    EXPECT_EQ(retries_total->Value() - retries_before, 2u)
         << RouteName(route);
   }
 }

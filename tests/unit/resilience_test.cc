@@ -423,6 +423,42 @@ TEST(ServiceResilience, BreakerOpenWithoutFallbackShedsTyped) {
   EXPECT_GE(service->counters().breaker_sheds, 1u);
 }
 
+TEST(ServiceResilience, DirectResponseReportsTheBatchRetries) {
+  // Core 0 hangs: the item homed there fails once and the board retries
+  // it on core 1. The response carries the batch's retries the way it
+  // carries the batch makespan.
+  fault::FaultPlan plan;
+  plan.seed = 3;
+  plan.broken_cores = {0};
+  plan.hang_watchdog_cycles = 2000;
+  system::BoardConfig board_config;
+  board_config.num_cores = 2;
+  board_config.host_threads = 1;
+  board_config.fault_plan = plan;
+  auto board = system::Board::Create(board_config);
+  ASSERT_TRUE(board.ok());
+  VirtualClock clock;
+  ServiceConfig config;
+  config.board = board->get();
+  config.clock = &clock;
+  auto service_or = QueryService::Create(config);
+  ASSERT_TRUE(service_or.ok()) << service_or.status();
+  auto service = *std::move(service_or);
+
+  ServiceRequest request;
+  request.tenant = "t";
+  request.op = SetOp::kIntersect;
+  request.a = {1, 5, 9, 12};
+  request.b = {5, 9, 30};
+  auto future = service->Submit(std::move(request));
+  service->Drain();
+  const ServiceResponse response = future.get();
+  ASSERT_TRUE(response.status.ok()) << response.status;
+  EXPECT_EQ(response.values, (std::vector<uint32_t>{5, 9}));
+  EXPECT_GT(response.retries, 0u);
+  EXPECT_EQ(response.retries, service->counters().retries);
+}
+
 TEST(ServiceResilience, SloClassStampsDefaultDeadline) {
   system::BoardConfig board_config;
   board_config.num_cores = 2;

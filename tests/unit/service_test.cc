@@ -423,6 +423,128 @@ TEST_F(QueryServiceTest, ExpiredDeadlineIsShedAtDispatch) {
   EXPECT_EQ(service->counters().shed, 1u);
 }
 
+// Every ServiceCounters field moves, and each dba_service_* counter
+// moves by exactly the same amount (the registry is process-global, so
+// the comparison is between deltas).
+TEST(QueryServiceCountersTest, RegistryDeltasEqualCounterDeltas) {
+  struct Series {
+    uint64_t ServiceCounters::*field;
+    std::string identity;
+  };
+  const auto shed = [](ShedReason reason) {
+    return obs::InstrumentIdentity("dba_service_shed_total", "reason",
+                                   ShedReasonName(reason));
+  };
+  const std::vector<Series> series = {
+      {&ServiceCounters::submitted, "dba_service_submitted_total"},
+      {&ServiceCounters::rejected, "dba_service_rejected_total"},
+      {&ServiceCounters::rejected, shed(ShedReason::kQueueFull)},
+      {&ServiceCounters::shed, shed(ShedReason::kDeadline)},
+      {&ServiceCounters::rate_limited, shed(ShedReason::kRateLimited)},
+      {&ServiceCounters::breaker_sheds, shed(ShedReason::kBreakerOpen)},
+      {&ServiceCounters::dispatched, "dba_service_dispatched_total"},
+      {&ServiceCounters::batches, "dba_service_batches_total"},
+      {&ServiceCounters::deduplicated, "dba_service_dedup_total"},
+      {&ServiceCounters::cache_hits, "dba_service_cache_hits_total"},
+      {&ServiceCounters::cache_misses, "dba_service_cache_misses_total"},
+      {&ServiceCounters::cache_evictions, "dba_service_cache_evictions_total"},
+      {&ServiceCounters::cache_invalidations,
+       "dba_service_cache_invalidations_total"},
+      {&ServiceCounters::retries, "dba_service_retries_total"},
+      {&ServiceCounters::degraded, "dba_service_degraded_total"},
+      {&ServiceCounters::breaker_transitions,
+       "dba_service_breaker_transitions_total"},
+  };
+  const auto registry_values = [&] {
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Global().Snapshot();
+    std::vector<uint64_t> values;
+    for (const Series& s : series) {
+      const auto it = snapshot.counters.find(s.identity);
+      values.push_back(it == snapshot.counters.end() ? 0 : it->second);
+    }
+    return values;
+  };
+
+  // Both cores hang: every direct op fails, and the second failure trips
+  // the breaker. Predicate queries run on the engines, not the board.
+  fault::FaultPlan plan;
+  plan.seed = 9;
+  plan.broken_cores = {0, 1};
+  plan.hang_watchdog_cycles = 2000;
+  system::BoardConfig board_config;
+  board_config.num_cores = 2;
+  board_config.host_threads = 1;
+  board_config.fault_plan = plan;
+  auto board = system::Board::Create(board_config);
+  ASSERT_TRUE(board.ok()) << board.status();
+  VirtualClock clock;
+  ServiceConfig config;
+  config.clock = &clock;
+  config.queue_capacity = 5;
+  config.cache_capacity = 2;
+  config.breaker.failure_threshold = 2;
+  config.host_fallback = false;
+  TenantPolicy metered;
+  metered.rate_per_sec = 1000;
+  metered.burst = 1;
+  config.tenant_policies["metered"] = metered;
+  auto service = MakeService(board->get(), config);
+  ASSERT_TRUE(service
+                  ->RegisterTable(std::make_unique<query::Table>(
+                      test::MakeServiceTable("orders", kRows, kTableSeed)))
+                  .ok());
+  const std::vector<uint64_t> registry_before = registry_values();
+  const ServiceCounters counters_before = service->counters();
+
+  // Paused: a duplicate, a rate-limited tenant, a doomed deadline, and
+  // an overflow beyond the five queue slots.
+  const auto pool = test::MakePredicatePool(4);
+  std::vector<std::future<ServiceResponse>> futures;
+  service->PauseDispatch();
+  futures.push_back(service->Submit(PredicateRequest(pool[0])));
+  futures.push_back(service->Submit(PredicateRequest(pool[0])));
+  futures.push_back(service->Submit(PredicateRequest(pool[1], "metered")));
+  futures.push_back(service->Submit(PredicateRequest(pool[1], "metered")));
+  futures.push_back(service->Submit(PredicateRequest(pool[2])));
+  ServiceRequest doomed = PredicateRequest(pool[3]);
+  doomed.deadline_ns = 10;
+  futures.push_back(service->Submit(std::move(doomed)));
+  futures.push_back(service->Submit(PredicateRequest(pool[3])));
+  clock.AdvanceTo(100);
+  service->ResumeDispatch();
+  service->Drain();
+  // Cache hit, then an explicit invalidation.
+  futures.push_back(service->Submit(PredicateRequest(pool[2])));
+  service->Drain();
+  ASSERT_TRUE(service
+                  ->UpdateColumn("orders", "amount",
+                                 test::MakeColumnValues("amount", kRows, 7))
+                  .ok());
+  // The dead board fails a direct op twice (one service re-submit) and
+  // trips the breaker; then a direct op sheds while a predicate query
+  // runs degraded.
+  futures.push_back(service->Submit(DirectRequest(SetOp::kUnion, {1, 3}, {2})));
+  service->Drain();
+  ASSERT_EQ(service->breaker_state(), BreakerState::kOpen);
+  service->PauseDispatch();
+  futures.push_back(service->Submit(DirectRequest(SetOp::kUnion, {1, 3}, {2})));
+  futures.push_back(service->Submit(PredicateRequest(pool[0])));
+  service->ResumeDispatch();
+  service->Drain();
+  for (auto& future : futures) future.get();
+
+  const std::vector<uint64_t> registry_after = registry_values();
+  const ServiceCounters counters_after = service->counters();
+  for (size_t i = 0; i < series.size(); ++i) {
+    const uint64_t counted =
+        counters_after.*series[i].field - counters_before.*series[i].field;
+    EXPECT_GT(counted, 0u) << series[i].identity;
+    EXPECT_EQ(registry_after[i] - registry_before[i], counted)
+        << series[i].identity;
+  }
+}
+
 TEST_F(QueryServiceTest, UnknownTableReportsNotFound) {
   auto service = MakeService(board_.get(), ServiceConfig{});
   const auto pool = test::MakePredicatePool(1);
