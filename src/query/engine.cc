@@ -203,7 +203,6 @@ Status QueryEngine::RefreshIndexIfStale(const std::string& column) {
     }
   }
   savings_.erase(column);
-  index_state_.erase(column);
   return Status::Ok();
 }
 
@@ -354,7 +353,7 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
   // the chosen route; once a column's accumulated missed savings reach
   // payback_factor * build_cost, materialize the index and charge it.
   if (index == nullptr && !decision.forced && !large.column.empty() &&
-      !large.probe_key.empty() && planner_->options().allow_partition_index) {
+      !large.probe_key.empty()) {
     const double build_cost_ns = model.PartitionBuildNs(large.rids.size());
     const double savings_ns =
         decision.chosen_ns -
@@ -364,14 +363,9 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
     PartitionSavingsMeter& meter = savings_[column];
     const bool payback = meter.RecordMiss(savings_ns, build_cost_ns,
                                           planner_->options().payback_factor);
-    ColumnIndexState& state = index_state_[column];
-    state.build_cost_ns = build_cost_ns;
-    state.misses_recorded = meter.misses_recorded();
     if (payback) {
       PartitionIndex built = PartitionIndex::Build(large.rids);
-      meter.ChargeBuild(build_cost_ns);
-      ++state.indexes_built;
-      state.indexed_entries += built.size();
+      meter.ChargeBuild(build_cost_ns, built.size());
       auto [it, inserted] =
           partition_indexes_.emplace(std::string(large.probe_key),
                                      std::move(built));
@@ -384,7 +378,6 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
       stats.plan.push_back("build partition index on " + column + " (" +
                                std::to_string(large.rids.size()) + " entries)");
     }
-    state.missed_savings_ns = meter.missed_savings_ns();
   }
 
   // Execute the chosen route. Every route runs under the engine's one
@@ -427,7 +420,6 @@ Result<std::vector<Rid>> QueryEngine::RunPlannedIntersect(
   plan_metrics.route_wall_ns[route_idx]->Observe(
       static_cast<uint64_t>(route_seconds * 1e9));
   ++stats.set_operations;
-  ++stats.planned_ops;
   ++stats.route_counts[route_idx];
   stats.accelerator_cycles += cycles;
   stats.elements_processed += a.rids.size() + b.rids.size();
@@ -540,21 +532,20 @@ Result<QueryEngine::Operand> QueryEngine::Evaluate(const Predicate& predicate,
 }
 
 void QueryEngine::EnableAdaptivePlanner(const PlannerOptions& options) {
-  DisableAdaptivePlanner();
   planner_ = std::make_unique<Planner>(options);
-}
-
-void QueryEngine::DisableAdaptivePlanner() {
-  planner_.reset();
   savings_.clear();
   partition_indexes_.clear();
-  index_state_.clear();
 }
 
 ColumnIndexState QueryEngine::partition_state(
     const std::string& column) const {
-  auto it = index_state_.find(column);
-  return it == index_state_.end() ? ColumnIndexState{} : it->second;
+  auto it = savings_.find(column);
+  if (it == savings_.end()) return {};
+  const PartitionSavingsMeter& meter = it->second;
+  return {.missed_savings_ns = meter.missed_savings_ns(),
+          .misses_recorded = meter.misses_recorded(),
+          .indexes_built = meter.indexes_built(),
+          .indexed_entries = meter.indexed_entries()};
 }
 
 Result<std::vector<Rid>> QueryEngine::Select(const Predicate& predicate,

@@ -32,19 +32,19 @@ struct QueryStats {
   double accelerator_seconds = 0;    // at the synthesized f_max
   std::vector<std::string> plan;     // rendered execution steps
   // --- Adaptive-planner telemetry (EnableAdaptivePlanner) ---
-  uint32_t planned_ops = 0;          // intersections routed by the planner
-  /// Executions per route, indexed by Route; always sums to planned_ops
-  /// and matches the dba_query_plan_total{route=...} counter deltas.
+  /// Planner-routed intersections per route, indexed by Route (their sum
+  /// is the planned-op count); matches the dba_query_plan_total{route=...}
+  /// counter deltas.
   std::array<uint32_t, kNumRoutes> route_counts{};
   uint32_t partition_index_builds = 0;  // lazy indexes materialized
   double host_route_seconds = 0;     // wall time spent in host routes
 };
 
-/// Savings/materialization state of one column's lazy PartitionIndex
-/// (inspection surface for tests and `dba_cli plan`).
+/// Savings/materialization state of one column's lazy PartitionIndex, as
+/// its PartitionSavingsMeter holds it (inspection surface for tests and
+/// `dba_cli plan`).
 struct ColumnIndexState {
   double missed_savings_ns = 0;  // accumulated unclaimed savings
-  double build_cost_ns = 0;      // estimate for the last candidate set
   uint32_t misses_recorded = 0;
   uint32_t indexes_built = 0;
   uint64_t indexed_entries = 0;  // total elements across built indexes
@@ -105,10 +105,9 @@ class QueryEngine {
   /// byte-identical to the always-EIS engine on every route; only the
   /// execution vehicle (and so QueryStats::accelerator_cycles vs.
   /// host_route_seconds) changes. Off by default: the seed behavior is
-  /// always-EIS.
+  /// always-EIS. Enabling again replaces the planner and drops its lazy
+  /// indexes and savings state.
   void EnableAdaptivePlanner(const PlannerOptions& options = {});
-  void DisableAdaptivePlanner();
-  bool planner_enabled() const { return planner_ != nullptr; }
   const Planner* planner() const { return planner_.get(); }
 
   /// Lazy-index state of `column` ({} when never considered).
@@ -226,7 +225,6 @@ class QueryEngine {
   std::unique_ptr<Planner> planner_;
   std::map<std::string, PartitionSavingsMeter> savings_;      // by column
   std::map<std::string, PartitionIndex> partition_indexes_;   // by probe_key
-  std::map<std::string, ColumnIndexState> index_state_;       // by column
 };
 
 }  // namespace dba::query

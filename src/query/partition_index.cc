@@ -88,14 +88,16 @@ bool PartitionSavingsMeter::RecordMiss(double savings_ns,
                                        double payback_factor) {
   if (savings_ns <= 0) return false;
   missed_savings_ns_ += savings_ns;
-  last_build_cost_ns_ = build_cost_ns;
   ++misses_recorded_;
   return missed_savings_ns_ >= payback_factor * build_cost_ns;
 }
 
-void PartitionSavingsMeter::ChargeBuild(double build_cost_ns) {
+void PartitionSavingsMeter::ChargeBuild(double build_cost_ns,
+                                        uint64_t indexed_entries) {
   missed_savings_ns_ -= build_cost_ns;
   if (missed_savings_ns_ < 0) missed_savings_ns_ = 0;
+  ++indexes_built_;
+  indexed_entries_ += indexed_entries;
 }
 
 }  // namespace dba::query

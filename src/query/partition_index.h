@@ -81,17 +81,21 @@ class PartitionSavingsMeter {
   bool RecordMiss(double savings_ns, double build_cost_ns,
                   double payback_factor);
 
-  /// Deducts the paid build cost after a build.
-  void ChargeBuild(double build_cost_ns);
+  /// Deducts the paid build cost after building an index of
+  /// `indexed_entries` elements.
+  void ChargeBuild(double build_cost_ns, uint64_t indexed_entries);
 
   double missed_savings_ns() const { return missed_savings_ns_; }
-  double last_build_cost_ns() const { return last_build_cost_ns_; }
   uint32_t misses_recorded() const { return misses_recorded_; }
+  uint32_t indexes_built() const { return indexes_built_; }
+  /// Total elements across the indexes built.
+  uint64_t indexed_entries() const { return indexed_entries_; }
 
  private:
   double missed_savings_ns_ = 0;
-  double last_build_cost_ns_ = 0;
   uint32_t misses_recorded_ = 0;
+  uint32_t indexes_built_ = 0;
+  uint64_t indexed_entries_ = 0;
 };
 
 }  // namespace dba::query

@@ -228,8 +228,7 @@ PlanDecision Planner::Plan(size_t a_size, size_t b_size,
   }
   ChooseCheapest({Route::kEisMerge, Route::kGalloping, Route::kSimdMerge,
                   Route::kPartitionProbe},
-                 index_available && options_.allow_partition_index,
-                 &decision);
+                 index_available, &decision);
   return decision;
 }
 
@@ -242,7 +241,7 @@ PlanDecision Planner::PlanHost(size_t a_size, size_t b_size) const {
   decision.estimated_ns[static_cast<size_t>(Route::kPartitionProbe)] +=
       model_.PartitionBuildNs(std::max(a_size, b_size));
   ChooseCheapest({Route::kSimdMerge, Route::kGalloping, Route::kPartitionProbe},
-                 options_.allow_partition_index, &decision);
+                 /*partition_allowed=*/true, &decision);
   return decision;
 }
 

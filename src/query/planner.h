@@ -76,8 +76,6 @@ struct PlannerOptions {
   /// A lazy PartitionIndex is built once the missed savings recorded
   /// against a column reach payback_factor * build_cost.
   double payback_factor = 2.0;
-  /// Disables the partition-probe route and its savings accounting.
-  bool allow_partition_index = true;
   /// Cost model override; nullopt uses the process-wide calibrated
   /// model (Planner::Calibrated). Tests inject one for determinism.
   std::optional<CostModel> cost_model;

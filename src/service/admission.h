@@ -22,9 +22,7 @@ enum class ShedReason : uint8_t {
   kQueueFull = 0,     // admission overflow -> kUnavailable
   kDeadline = 1,      // deadline expired while queued -> kDeadlineExceeded
   kRateLimited = 2,   // tenant token bucket dry -> kRateLimited
-  kBreakerOpen = 3,   // breaker open, no fallback -> kUnavailable
 };
-inline constexpr size_t kNumShedReasons = 4;
 
 inline std::string_view ShedReasonName(ShedReason reason) {
   switch (reason) {
@@ -34,8 +32,6 @@ inline std::string_view ShedReasonName(ShedReason reason) {
       return "deadline";
     case ShedReason::kRateLimited:
       return "rate_limited";
-    case ShedReason::kBreakerOpen:
-      return "breaker_open";
   }
   return "unknown";
 }

@@ -38,10 +38,9 @@ constexpr EventCounter kEventCounters[] = {
      "Transient re-executions across engine and board recovery."},
     {&ServiceCounters::rate_limited, nullptr, nullptr,
      ShedReason::kRateLimited},
-    {&ServiceCounters::breaker_sheds, nullptr, nullptr,
-     ShedReason::kBreakerOpen},
     {&ServiceCounters::degraded, "dba_service_degraded_total",
-     "Responses served by host fallback while the breaker was open."},
+     "Direct ops served by the host fallback while the breaker kept them "
+     "off the board."},
 };
 static_assert(std::size(kEventCounters) == kNumServiceEvents);
 
@@ -221,13 +220,6 @@ Status QueryService::RegisterTable(std::unique_ptr<query::Table> table) {
   entry.engine = std::make_unique<query::QueryEngine>(
       entry.table.get(), config_.board->core(entry.core));
   entry.engine->SetMaxAttempts(config_.max_attempts);
-  if (fault_hook_) entry.engine->SetAttemptFaultHook(fault_hook_);
-  if (degraded_routing_) {
-    query::PlannerOptions options;
-    options.force_route = query::Route::kGalloping;
-    options.allow_partition_index = false;
-    entry.engine->EnableAdaptivePlanner(options);
-  }
   for (const std::string& column : entry.table->ColumnNames()) {
     DBA_RETURN_IF_ERROR(entry.engine->BuildIndex(column));
   }
@@ -405,36 +397,6 @@ std::vector<std::string> QueryService::CacheKeysMruToLru() const {
   return cache_.KeysMruToLru();
 }
 
-void QueryService::SetAttemptFaultHook(fault::AttemptFaultHook hook) {
-  std::unique_lock<std::shared_mutex> tables_lock(tables_mu_);
-  fault_hook_ = std::move(hook);
-  for (auto& [name, entry] : tables_) {
-    (void)name;
-    entry.engine->SetAttemptFaultHook(fault_hook_);
-  }
-}
-
-void QueryService::SetDegradedRouting(bool degraded) {
-  std::unique_lock<std::shared_mutex> tables_lock(tables_mu_);
-  if (degraded_routing_ == degraded) return;
-  degraded_routing_ = degraded;
-  for (auto& [name, entry] : tables_) {
-    (void)name;
-    // The per-table lock serializes against any in-flight query of the
-    // table (none can be: only the scheduler thread executes queries,
-    // and it is the caller here).
-    std::unique_lock<std::shared_mutex> table_lock(*entry.mu);
-    if (degraded) {
-      query::PlannerOptions options;
-      options.force_route = query::Route::kGalloping;
-      options.allow_partition_index = false;
-      entry.engine->EnableAdaptivePlanner(options);
-    } else {
-      entry.engine->DisableAdaptivePlanner();
-    }
-  }
-}
-
 uint64_t QueryService::OldestEnqueueNsLocked() const {
   uint64_t oldest = UINT64_MAX;
   queue_.ForEach(
@@ -598,14 +560,12 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
     // The direct riders and the batch's wall deadline: the largest
     // remaining deadline among them (a rider with no deadline leaves the
     // batch unbounded -- never cut work short that someone still wants).
-    uint64_t riders = 0;
     uint64_t batch_deadline_ns = 0;
     bool unbounded = false;
     for (size_t i = 0; i < batch.size(); ++i) {
       if (unique_of[i] < 0) continue;
       const Unique& unique = uniques[static_cast<size_t>(unique_of[i])];
       if (unique.is_predicate || unique.ready) continue;
-      ++riders;
       const uint64_t deadline = batch[i].request.deadline_ns;
       if (deadline == 0) {
         unbounded = true;
@@ -637,17 +597,12 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
           system::Board::BatchItem{request.op, request.a, request.b});
     }
 
-    // Consult the breaker: open routes around the board entirely;
-    // half-open grants a bounded number of probe dispatches.
-    bool use_board = true;
-    if (config_.breaker.enabled) {
-      const BreakerState state = breaker_->StateAt(start_ns);
-      if (state == BreakerState::kOpen) {
-        use_board = false;
-      } else if (state == BreakerState::kHalfOpen) {
-        use_board = breaker_->AllowProbe(start_ns);
-      }
-    }
+    // Consult the breaker: closed dispatches to the board; half-open
+    // grants a bounded number of probe dispatches; open (AllowProbe
+    // refuses) keeps the batch off the board.
+    const bool use_board =
+        breaker_->StateAt(start_ns) == BreakerState::kClosed ||
+        breaker_->AllowProbe(start_ns);
 
     Result<system::Board::BatchRun> run =
         Status::Unavailable("circuit breaker open");
@@ -666,8 +621,7 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
         }
         breaker_->OnBoardResult(false, nullptr, n_cores, start_ns);
         if (!IsTransient(run.status().code())) break;
-        if (config_.breaker.enabled &&
-            breaker_->StateAt(start_ns) == BreakerState::kOpen) {
+        if (breaker_->StateAt(start_ns) == BreakerState::kOpen) {
           break;  // tripped mid-ladder: fall through to degraded mode
         }
         const std::optional<uint64_t> delay =
@@ -689,68 +643,58 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
         unique.cycles = run->run.makespan_cycles;
         unique.ready = true;
       }
-    } else if (config_.host_fallback && config_.breaker.enabled &&
-               breaker_->StateAt(start_ns) == BreakerState::kOpen) {
-      // Degraded mode: the breaker is open (either at batch start or
-      // tripped by the failures above), so the planner's host kernels
-      // stand in for the board -- bit-exact results, flagged degraded.
-      for (const size_t u : direct) {
-        const ServiceRequest& request = batch[uniques[u].owner].request;
-        Result<std::vector<uint32_t>> fallback =
-            RunHostFallbackOp(request.op, request.a, request.b);
-        Unique& unique = uniques[u];
-        if (fallback.ok()) {
-          unique.values = std::move(*fallback);
-          unique.status = Status::Ok();
-          unique.degraded = true;
-          unique.cycles = 0;
-        } else {
-          unique.status = fallback.status();
-        }
-        unique.ready = true;
-      }
-    } else if (!use_board) {
-      // Breaker open, fallback disabled: a typed per-request shed.
-      Record(ServiceEvent::kBreakerSheds, riders);
-      for (const size_t u : direct) {
-        uniques[u].status = Status::Unavailable(
-            "circuit breaker open and host fallback disabled");
-        uniques[u].ready = true;
-      }
-    } else {
+    } else if (use_board &&
+               breaker_->StateAt(start_ns) != BreakerState::kOpen) {
+      // The board failed and the breaker still trusts it: report the
+      // board's error.
       for (const size_t u : direct) {
         uniques[u].status = run.status();
         uniques[u].ready = true;
       }
     }
+    // Otherwise the breaker kept the batch off the board (open, or
+    // half-open without a probe slot) or tripped on it: the direct ops
+    // stay pending and the host fallback below serves them (degraded
+    // mode).
     for (const size_t u : direct) {
       uniques[u].retries = static_cast<uint32_t>(direct_retries);
     }
   }
 
-  // Keep predicate routing in step with the breaker: while open,
-  // RID-set intersections take the planner's host routes instead of
-  // the board cores' EIS datapath.
-  const bool degrade_predicates =
-      config_.breaker.enabled &&
-      breaker_->StateAt(start_ns) == BreakerState::kOpen;
-  SetDegradedRouting(degrade_predicates);
-
-  // Predicate queries: engines grouped by their pinned board core (one
-  // thread per core; a core's tables run back to back), fanned out over
-  // the board's host pool when available.
-  std::vector<std::vector<size_t>> groups(
+  // Host work, fanned out over the board's host pool when available:
+  // one task per board core for the predicate queries whose engines are
+  // pinned there (a core's tables run back to back), and one task per
+  // degraded direct op. Every task writes only its own uniques.
+  std::vector<std::vector<size_t>> tasks(
       static_cast<size_t>(config_.board->num_cores()));
   for (size_t u = 0; u < uniques.size(); ++u) {
-    if (uniques[u].is_predicate && !uniques[u].ready) {
-      groups[static_cast<size_t>(uniques[u].entry->core)].push_back(u);
+    if (uniques[u].ready) continue;
+    if (uniques[u].is_predicate) {
+      tasks[static_cast<size_t>(uniques[u].entry->core)].push_back(u);
+    } else {
+      tasks.push_back({u});
     }
   }
-  std::erase_if(groups, [](const auto& group) { return group.empty(); });
-  const auto run_group = [&](size_t gi) {
-    for (const size_t uidx : groups[gi]) {
+  std::erase_if(tasks, [](const auto& task) { return task.empty(); });
+  const auto run_task = [&](size_t t) {
+    for (const size_t uidx : tasks[t]) {
       Unique& unique = uniques[uidx];
       const ServiceRequest& request = batch[unique.owner].request;
+      unique.ready = true;
+      if (!unique.is_predicate) {
+        // Degraded mode: the planner's host kernels stand in for the
+        // board -- bit-exact results, zero accelerator cycles.
+        Result<std::vector<uint32_t>> fallback =
+            RunHostFallbackOp(request.op, request.a, request.b);
+        if (!fallback.ok()) {
+          unique.status = fallback.status();
+          continue;
+        }
+        unique.values = *std::move(fallback);
+        unique.status = Status::Ok();
+        unique.degraded = true;
+        continue;
+      }
       std::shared_lock<std::shared_mutex> table_lock(*unique.entry->mu);
       // Stamp versions under the same shared lock that covers the
       // execution: UpdateColumn's unique lock cannot interleave, so
@@ -759,7 +703,6 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
           StampVersions(*unique.entry->table, request);
       if (!versions.ok()) {
         unique.status = versions.status();
-        unique.ready = true;
         continue;
       }
       unique.versions = *std::move(versions);
@@ -771,21 +714,16 @@ void QueryService::ExecuteBatch(std::vector<Job> batch) {
         unique.values = std::move(*result);
         unique.status = Status::Ok();
         unique.cycles = stats.accelerator_cycles;
-        // Freshly executed under forced host routing: the values are
-        // bit-identical, but the venue was degraded. (Cache hits keep
-        // degraded = false -- they were computed before the outage.)
-        unique.degraded = degrade_predicates;
       } else {
         unique.status = result.status();
       }
-      unique.ready = true;
     }
   };
   common::ThreadPool* pool = config_.board->host_pool();
-  if (pool != nullptr && groups.size() > 1) {
-    pool->ParallelFor(groups.size(), run_group);
+  if (pool != nullptr && tasks.size() > 1) {
+    pool->ParallelFor(tasks.size(), run_task);
   } else {
-    for (size_t gi = 0; gi < groups.size(); ++gi) run_group(gi);
+    for (size_t t = 0; t < tasks.size(); ++t) run_task(t);
   }
 
   // Fresh predicate results enter the cache with their version stamps.

@@ -16,7 +16,6 @@
 
 #include "common/status.h"
 #include "core/processor.h"
-#include "fault/fault.h"
 #include "query/engine.h"
 #include "query/predicate.h"
 #include "query/table.h"
@@ -59,14 +58,11 @@ struct ServiceConfig {
   /// here are unlimited kStandard.
   std::map<std::string, TenantPolicy> tenant_policies;
   /// Board-health circuit breaker fed by direct-op outcomes and
-  /// RecoveryTelemetry. While open, direct set ops route through host
-  /// kernels (host_fallback) or shed with kUnavailable, and predicate
-  /// RID-set intersections force the planner's host routes.
+  /// RecoveryTelemetry. Its one effect: while it is open (or half-open
+  /// without a probe slot for the batch), direct set ops run on the host
+  /// fallback (RunHostFallbackOp) -- bit-exact, flagged
+  /// ServiceResponse::degraded. Predicate queries are unaffected.
   BreakerConfig breaker;
-  /// Serve direct set ops from host kernels while the breaker is open
-  /// (bit-exact, flagged ServiceResponse::degraded). When false they
-  /// shed with kUnavailable instead.
-  bool host_fallback = true;
   /// Deadline-aware service-level re-submit policy for transiently
   /// failed direct-op board batches (exponential backoff + jitter,
   /// never past the riders' deadline).
@@ -110,9 +106,10 @@ struct ServiceResponse {
   uint64_t dispatch_seq = 0;     // global dispatch order (priority proof)
   uint32_t retries = 0;          // transient re-executions
   uint64_t accelerator_cycles = 0;
-  /// Served in degraded mode: host kernels stood in for the board while
-  /// the circuit breaker was open. Values are bit-identical to the
-  /// board path; only the execution venue differs.
+  /// A direct set op served by the host fallback because the circuit
+  /// breaker kept it off the board. Values are bit-identical to the
+  /// board path; only the execution venue differs. Predicate responses
+  /// are never degraded.
   bool degraded = false;
 };
 
@@ -134,7 +131,6 @@ struct ServiceCounters {
   // --- Resilience (the pre-existing fields above keep their exact
   // meaning: `rejected` = queue-full sheds, `shed` = deadline sheds) ---
   uint64_t rate_limited = 0;        // admission sheds: token bucket dry
-  uint64_t breaker_sheds = 0;       // sheds while open, fallback disabled
   uint64_t degraded = 0;            // responses served by host fallback
   uint64_t breaker_transitions = 0; // breaker state changes
 };
@@ -143,9 +139,9 @@ struct ServiceCounters {
 /// per-instance tally and the dba_service_* instrument table.
 enum class ServiceEvent : uint8_t {
   kSubmitted, kRejected, kShed, kDispatched, kBatches,
-  kDeduplicated, kRetries, kRateLimited, kBreakerSheds, kDegraded,
+  kDeduplicated, kRetries, kRateLimited, kDegraded,
 };
-inline constexpr size_t kNumServiceEvents = 10;
+inline constexpr size_t kNumServiceEvents = 9;
 
 /// Async multi-tenant frontend over a system::Board: requests are
 /// admitted into a bounded priority queue (load-shedding, never silent
@@ -205,10 +201,6 @@ class QueryService {
         breaker_state_.load(std::memory_order_relaxed));
   }
 
-  /// Forwards a deterministic attempt-fault hook to every registered
-  /// table's engine (and tables registered later). Call while idle.
-  void SetAttemptFaultHook(fault::AttemptFaultHook hook);
-
  private:
   struct Job {
     ServiceRequest request;
@@ -229,10 +221,6 @@ class QueryService {
   void SchedulerLoop();
   void ExecuteBatch(std::vector<Job> batch);
   uint64_t OldestEnqueueNsLocked() const;
-  /// Toggles degraded predicate routing (force the planner's host
-  /// intersect route on every registered engine) to match the breaker
-  /// state. Scheduler thread (or RegisterTable) only; takes tables_mu_.
-  void SetDegradedRouting(bool degraded);
   /// Counts `n` occurrences of `event` in this service's tally and its
   /// instruments; returns the new tally.
   uint64_t Record(ServiceEvent event, uint64_t n = 1);
@@ -257,8 +245,6 @@ class QueryService {
   mutable std::shared_mutex tables_mu_;
   std::map<std::string, TableEntry> tables_;
   int next_core_ = 0;
-  fault::AttemptFaultHook fault_hook_;  // guarded by tables_mu_
-  bool degraded_routing_ = false;       // guarded by tables_mu_
 
   /// Board-health breaker (scheduler thread only; see breaker_state_
   /// for the cross-thread mirror).

@@ -134,7 +134,7 @@ class RetryBudget {
 enum class BreakerState : uint8_t {
   kClosed = 0,    // board healthy: all work dispatches normally
   kHalfOpen = 1,  // cool-down elapsed: limited probes test the board
-  kOpen = 2,      // board unhealthy: direct ops fall back or shed
+  kOpen = 2,      // board unhealthy: direct ops run on the host fallback
 };
 
 std::string_view BreakerStateName(BreakerState state);

@@ -17,7 +17,8 @@
 //    seed) pair is identical at board host_threads 1, 2, and 8.
 // 3. AllCoresBrokenStaysAvailable: with every board core permanently
 //    hung, the breaker trips and direct set ops are still answered --
-//    bit-exact, flagged degraded -- by the host fallback.
+//    bit-exact, flagged degraded -- by the host fallback, one at a time
+//    and fanned out as one batch.
 // 4. MeltdownRecovers: after the operator heals the board, the breaker
 //    walks open -> half-open -> closed and service leaves degraded mode.
 
@@ -131,7 +132,6 @@ void RunChaosTrial(fault::ChaosProfile profile, uint64_t seed,
   config.breaker.open_duration_ns = 1000;
   config.breaker.half_open_probes = 2;
   config.breaker.probe_successes_to_close = 1;
-  config.host_fallback = true;
   auto service_or = QueryService::Create(config);
   ASSERT_TRUE(service_or.ok()) << service_or.status();
   auto service = *std::move(service_or);
@@ -236,13 +236,12 @@ TEST(ServiceChaos, ReplayDeterminism) {
 }
 
 TEST(ServiceChaos, AllCoresBrokenStaysAvailable) {
-  auto board = MakeBoard(/*host_threads=*/2);
+  auto board = MakeBoard(SweepHostThreads());
   VirtualClock clock;
   ServiceConfig config;
   config.board = board.get();
   config.clock = &clock;
   config.breaker.failure_threshold = 1;
-  config.host_fallback = true;
   auto service_or = QueryService::Create(config);
   ASSERT_TRUE(service_or.ok()) << service_or.status();
   auto service = *std::move(service_or);
@@ -258,21 +257,26 @@ TEST(ServiceChaos, AllCoresBrokenStaysAvailable) {
   const SetOp ops[] = {SetOp::kIntersect, SetOp::kUnion, SetOp::kDifference,
                        SetOp::kMerge};
   uint64_t ok_degraded = 0;
+  std::vector<ServiceRequest> requests;
+  std::vector<std::vector<uint32_t>> expected;
   for (int i = 0; i < 16; ++i) {
     ServiceRequest request;
     request.tenant = "t0";
     request.op = ops[i % 4];
     request.a = test::MakeSortedSet(rng, 48, 4096);
     request.b = test::MakeSortedSet(rng, 48, 4096);
-    auto expected = reference.Direct(request.op, request.a, request.b);
-    ASSERT_TRUE(expected.ok()) << expected.status();
+    auto reference_values =
+        reference.Direct(request.op, request.a, request.b);
+    ASSERT_TRUE(reference_values.ok()) << reference_values.status();
+    requests.push_back(request);
+    expected.push_back(*std::move(reference_values));
     std::future<ServiceResponse> future = service->Submit(std::move(request));
     service->Drain();
     const ServiceResponse response = future.get();
     // The very first batch may fail before the breaker trips; after
     // that every response must be served -- degraded but bit-exact.
     if (response.status.ok()) {
-      EXPECT_EQ(response.values, *expected) << "direct op " << i;
+      EXPECT_EQ(response.values, expected.back()) << "direct op " << i;
       if (response.degraded) ++ok_degraded;
     } else {
       EXPECT_TRUE(IsTypedFailure(response.status.code()))
@@ -285,6 +289,26 @@ TEST(ServiceChaos, AllCoresBrokenStaysAvailable) {
   const ServiceCounters counters = service->counters();
   EXPECT_EQ(counters.degraded, ok_degraded);
   EXPECT_GT(counters.breaker_transitions, 0u);
+
+  // The same ops once more as one batch, the breaker already open: the
+  // host fallback serves every one of them, fanned out over the board's
+  // host pool.
+  service->PauseDispatch();
+  std::vector<std::future<ServiceResponse>> futures;
+  for (const ServiceRequest& request : requests) {
+    futures.push_back(service->Submit(request));
+  }
+  service->ResumeDispatch();
+  service->Drain();
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const ServiceResponse response = futures[i].get();
+    ASSERT_TRUE(response.status.ok()) << "batched op " << i << ": "
+                                      << response.status;
+    EXPECT_EQ(response.values, expected[i]) << "batched op " << i;
+    EXPECT_TRUE(response.degraded) << "batched op " << i;
+    EXPECT_EQ(response.batch_size, requests.size());
+  }
+  EXPECT_EQ(service->counters().degraded, ok_degraded + requests.size());
 }
 
 TEST(ServiceChaos, MeltdownRecovers) {
@@ -296,7 +320,6 @@ TEST(ServiceChaos, MeltdownRecovers) {
   config.breaker.failure_threshold = 1;
   config.breaker.open_duration_ns = 500;
   config.breaker.probe_successes_to_close = 1;
-  config.host_fallback = true;
   auto service_or = QueryService::Create(config);
   ASSERT_TRUE(service_or.ok()) << service_or.status();
   auto service = *std::move(service_or);

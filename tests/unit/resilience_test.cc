@@ -2,9 +2,8 @@
 // and its integration seams: token-bucket arithmetic, deadline-aware
 // retry budgets, circuit-breaker transitions under explicit timestamps,
 // host-fallback bit-identity against the serial reference, the board's
-// recovery deadline budget, typed rate-limit sheds, breaker-open
-// shedding with fallback disabled, and ServiceConfig::Validate
-// rejections for every new knob.
+// recovery deadline budget, typed rate-limit sheds, and
+// ServiceConfig::Validate rejections for every new knob.
 
 #include <gtest/gtest.h>
 
@@ -378,49 +377,6 @@ TEST(ServiceResilience, RateLimitShedsTyped) {
   auto f5 = submit("metered");
   service->Drain();
   EXPECT_TRUE(f5.get().status.ok());
-}
-
-TEST(ServiceResilience, BreakerOpenWithoutFallbackShedsTyped) {
-  fault::FaultPlan plan;
-  plan.seed = 5;
-  plan.broken_cores = {0, 1};
-  plan.hang_watchdog_cycles = 2000;
-  system::BoardConfig board_config;
-  board_config.num_cores = 2;
-  board_config.host_threads = 1;
-  board_config.fault_plan = plan;
-  auto board = system::Board::Create(board_config);
-  ASSERT_TRUE(board.ok());
-  VirtualClock clock;
-  ServiceConfig config;
-  config.board = board->get();
-  config.clock = &clock;
-  config.breaker.failure_threshold = 1;
-  config.host_fallback = false;
-  auto service_or = QueryService::Create(config);
-  ASSERT_TRUE(service_or.ok()) << service_or.status();
-  auto service = *std::move(service_or);
-
-  const auto submit_and_wait = [&] {
-    ServiceRequest request;
-    request.tenant = "t";
-    request.op = SetOp::kUnion;
-    request.a = {1, 3};
-    request.b = {2, 4};
-    auto future = service->Submit(std::move(request));
-    service->Drain();
-    return future.get();
-  };
-
-  // First dispatch fails on the dead board and trips the breaker.
-  const ServiceResponse first = submit_and_wait();
-  EXPECT_FALSE(first.status.ok());
-  EXPECT_EQ(service->breaker_state(), BreakerState::kOpen);
-  // With fallback disabled the next request is a typed breaker shed.
-  const ServiceResponse second = submit_and_wait();
-  EXPECT_EQ(second.status.code(), StatusCode::kUnavailable);
-  EXPECT_FALSE(second.degraded);
-  EXPECT_GE(service->counters().breaker_sheds, 1u);
 }
 
 TEST(ServiceResilience, DirectResponseReportsTheBatchRetries) {

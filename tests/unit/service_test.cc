@@ -441,7 +441,6 @@ TEST(QueryServiceCountersTest, RegistryDeltasEqualCounterDeltas) {
       {&ServiceCounters::rejected, shed(ShedReason::kQueueFull)},
       {&ServiceCounters::shed, shed(ShedReason::kDeadline)},
       {&ServiceCounters::rate_limited, shed(ShedReason::kRateLimited)},
-      {&ServiceCounters::breaker_sheds, shed(ShedReason::kBreakerOpen)},
       {&ServiceCounters::dispatched, "dba_service_dispatched_total"},
       {&ServiceCounters::batches, "dba_service_batches_total"},
       {&ServiceCounters::deduplicated, "dba_service_dedup_total"},
@@ -484,7 +483,6 @@ TEST(QueryServiceCountersTest, RegistryDeltasEqualCounterDeltas) {
   config.queue_capacity = 5;
   config.cache_capacity = 2;
   config.breaker.failure_threshold = 2;
-  config.host_fallback = false;
   TenantPolicy metered;
   metered.rate_per_sec = 1000;
   metered.burst = 1;
@@ -522,8 +520,8 @@ TEST(QueryServiceCountersTest, RegistryDeltasEqualCounterDeltas) {
                                  test::MakeColumnValues("amount", kRows, 7))
                   .ok());
   // The dead board fails a direct op twice (one service re-submit) and
-  // trips the breaker; then a direct op sheds while a predicate query
-  // runs degraded.
+  // trips the breaker; then the next direct op is served degraded by the
+  // host fallback beside a predicate query.
   futures.push_back(service->Submit(DirectRequest(SetOp::kUnion, {1, 3}, {2})));
   service->Drain();
   ASSERT_EQ(service->breaker_state(), BreakerState::kOpen);

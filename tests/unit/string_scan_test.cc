@@ -35,7 +35,7 @@ std::array<uint8_t, 16> Row(const std::string& text) {
 
 std::vector<uint32_t> AsWords(const std::vector<std::array<uint8_t, 16>>& rows) {
   std::vector<uint32_t> words(rows.size() * 4);
-  std::memcpy(words.data(), rows.data(), rows.size() * 16);
+  if (!rows.empty()) std::memcpy(words.data(), rows.data(), rows.size() * 16);
   return words;
 }
 

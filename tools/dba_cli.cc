@@ -146,8 +146,9 @@ void PrintUsage() {
       "                           --chaos-profile=P runs the waves under\n"
       "                           a seeded chaos schedule (calm | ramp |\n"
       "                           waves | brownout | meltdown,\n"
-      "                           --chaos-seed=N) and reports degraded-\n"
-      "                           mode and breaker activity\n"
+      "                           --chaos-seed=N) and reports breaker\n"
+      "                           activity and the direct ops the host\n"
+      "                           fallback served (degraded)\n"
       "  validate-bench FILE...   validate dba.bench.v1 (and\n"
       "                           dba.metrics.v1) JSON documents\n"
       "  compare-bench RUN BASE   compare a bench run against a committed\n"
@@ -718,19 +719,15 @@ int RunServe(const CliOptions& options, ProcessorKind kind,
                                          : static_cast<unsigned long long>(
                                                it->second);
   };
-  std::printf("sheds     queue_full %llu   deadline %llu   rate_limited %llu"
-              "   breaker_open %llu\n",
+  std::printf("sheds     queue_full %llu   deadline %llu   rate_limited %llu\n",
               shed_counter(svc::ShedReason::kQueueFull),
               shed_counter(svc::ShedReason::kDeadline),
-              shed_counter(svc::ShedReason::kRateLimited),
-              shed_counter(svc::ShedReason::kBreakerOpen));
-  std::printf("breaker   state %s   transitions %llu   degraded %llu   "
-              "breaker_sheds %llu\n",
+              shed_counter(svc::ShedReason::kRateLimited));
+  std::printf("breaker   state %s   transitions %llu   degraded %llu\n",
               std::string(svc::BreakerStateName((*service)->breaker_state()))
                   .c_str(),
               static_cast<unsigned long long>(counters.breaker_transitions),
-              static_cast<unsigned long long>(counters.degraded),
-              static_cast<unsigned long long>(counters.breaker_sheds));
+              static_cast<unsigned long long>(counters.degraded));
   if (chaos.has_value()) {
     const uint64_t answered = ok_responses + failed_responses;
     std::printf("chaos     profile %s   seed %llu   ok %llu   degraded %llu"
@@ -852,11 +849,10 @@ int RunTop(const CliOptions& options, ProcessorKind kind,
     if (counter("dba_service_submitted_total") > 0) {
       std::printf(
           "service sheds      queue_full %llu   deadline %llu   "
-          "rate_limited %llu   breaker_open %llu   degraded %llu\n",
+          "rate_limited %llu   degraded %llu\n",
           counter("dba_service_shed_total{reason=\"queue_full\"}"),
           counter("dba_service_shed_total{reason=\"deadline\"}"),
           counter("dba_service_shed_total{reason=\"rate_limited\"}"),
-          counter("dba_service_shed_total{reason=\"breaker_open\"}"),
           counter("dba_service_degraded_total"));
     }
     const std::vector<dba::obs::Event> events =
@@ -1093,7 +1089,7 @@ int RunPlan(const CliOptions& options, ProcessorKind kind,
     std::printf("  index never built (%u misses, savings %.0f of %.0f ns "
                 "needed)\n",
                 state.misses_recorded, state.missed_savings_ns,
-                planner_options.payback_factor * state.build_cost_ns);
+                planner_options.payback_factor * build_ns);
   }
   std::printf("  partition state   builds=%u entries=%llu "
               "missed_savings=%.0f ns\n",
